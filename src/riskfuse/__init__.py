@@ -8,8 +8,6 @@ project data.
 
 from .anfis import (
     AnfisModel,
-    AnfisRule,
-    BellMembership,
     apply_parameter_scaling,
     bell_membership,
     fit_consequents_least_squares,
@@ -64,7 +62,6 @@ from .pipeline import (
     RiskReport,
     aggregate_risk,
     cv_folds,
-    derive_weights,
     potential_scores,
     run_pipeline,
     split_train_test,

@@ -26,104 +26,73 @@ REJECT_RATIO = 0.15
 MIN_SHAPE_PARAM = 1e-6
 
 
-@dataclass(frozen=True)
-class BellMembership:
-    """Generalized bell membership with center m, width l > 0, shape k > 0."""
+def bell_membership(u, m, l, k):
+    """Membership degree 1 / (1 + |(u - m) / l|^(2k)), in [0, 1].
 
-    m: float
-    l: float
-    k: float
-
-    def __post_init__(self):
-        if self.l <= 0.0:
-            raise DataError(f"bell width must be positive, got {self.l}")
-        if self.k <= 0.0:
-            raise DataError(f"bell shape exponent must be positive, got {self.k}")
-
-
-def bell_membership(u: float, mf: BellMembership) -> float:
-    """Membership degree 1 / (1 + |(u - m) / l|^(2k)), in (0, 1]."""
-    return 1.0 / (1.0 + abs((u - mf.m) / mf.l) ** (2.0 * mf.k))
-
-
-@dataclass(frozen=True)
-class AnfisRule:
-    """One fuzzy rule: a bell premise per input plus a linear consequent.
-
-    The consequent holds one slope per input followed by the bias, so its
-    length is input dimension + 1.
+    Broadcasts over all four arguments.  Far-off inputs overflow
+    |z|^(2k) to inf, which cleanly underflows the membership to zero;
+    that is the intended limit behavior.
     """
-
-    premises: tuple[BellMembership, ...]
-    consequent: np.ndarray
-
-    def __post_init__(self):
-        consequent = np.asarray(self.consequent, dtype=float)
-        object.__setattr__(self, "consequent", consequent)
-        if consequent.shape != (len(self.premises) + 1,):
-            raise DataError(
-                f"consequent length {consequent.shape} does not match "
-                f"{len(self.premises)} premises + bias"
-            )
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.abs((u - m) / l) ** (2.0 * k))
 
 
 @dataclass(frozen=True)
 class AnfisModel:
     """Immutable rule set with the input spans observed at initialization.
 
+    ``premises`` has shape (rules, inputs, 3) and holds the bell
+    parameters (m, l, k) per rule and input, with width l > 0 and shape
+    exponent k > 0.  ``consequents`` has shape (rules, inputs + 1): one
+    slope per input followed by the bias.
+
     ``input_normalization`` records per-dimension (min, max) of the
-    training inputs; ``normalize_inputs`` maps raw feature vectors onto
-    that span.  ``forward`` operates in the same coordinates the model
-    was built in and applies no transformation itself.
+    training inputs.  ``forward`` operates in the same coordinates the
+    model was built in and applies no transformation itself.
     """
 
-    input_dim: int
-    rules: tuple[AnfisRule, ...]
+    premises: np.ndarray
+    consequents: np.ndarray
     input_normalization: np.ndarray
     diagnostics: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        norm = np.asarray(self.input_normalization, dtype=float)
-        object.__setattr__(self, "input_normalization", norm)
-        if not self.rules:
-            raise DataError("model needs at least one rule")
-        if norm.shape != (self.input_dim, 2):
+        for name in ("premises", "consequents", "input_normalization"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        premises, norm = self.premises, self.input_normalization
+        if premises.ndim != 3 or premises.shape[2] != 3 or len(premises) == 0:
+            raise DataError(f"premises must be (rules >= 1, inputs, 3), got {premises.shape}")
+        r, d = premises.shape[:2]
+        if self.consequents.shape != (r, d + 1) or norm.shape != (d, 2):
             raise DataError(
-                f"normalization spans must be ({self.input_dim}, 2), got {norm.shape}"
+                f"consequents {self.consequents.shape} and spans {norm.shape} do not "
+                f"fit {r} rules of {d} inputs"
             )
         if np.any(norm[:, 1] - norm[:, 0] <= 0.0):
             raise DataError("normalization spans must be positive")
-        for rule in self.rules:
-            if len(rule.premises) != self.input_dim:
-                raise DataError("rule premise count does not match input_dim")
+        if np.any(premises[..., 1:] <= 0.0):
+            raise DataError("bell widths and shape exponents must be positive")
+
+    @property
+    def input_dim(self) -> int:
+        return self.premises.shape[1]
+
+    @property
+    def n_rules(self) -> int:
+        return self.premises.shape[0]
 
     @property
     def n_parameters(self) -> int:
         """Tunable parameter count: 3 premise values per rule and
         dimension, plus input_dim + 1 consequent values per rule."""
-        r = len(self.rules)
-        return r * self.input_dim * 3 + r * (self.input_dim + 1)
-
-    def normalize_inputs(self, raw: np.ndarray) -> np.ndarray:
-        """Map raw inputs onto [0, 1] over the recorded spans."""
-        raw = np.asarray(raw, dtype=float)
-        lo = self.input_normalization[:, 0]
-        hi = self.input_normalization[:, 1]
-        return (raw - lo) / (hi - lo)
+        return self.premises.size + self.consequents.size
 
 
 def _membership_matrix(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Firing strengths for a batch: shape (n_samples, n_rules)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    strengths = np.ones((x.shape[0], len(model.rules)))
-    # Far-off inputs overflow |z|^(2k) to inf, which cleanly underflows the
-    # membership to zero; that is the intended limit behavior.
-    with np.errstate(over="ignore"):
-        for j, rule in enumerate(model.rules):
-            for d, mf in enumerate(rule.premises):
-                z = np.abs((x[:, d] - mf.m) / mf.l)
-                strengths[:, j] *= 1.0 / (1.0 + z ** (2.0 * mf.k))
-    return strengths
+    m, l, k = model.premises.transpose(2, 0, 1)
+    return bell_membership(x[:, None, :], m, l, k).prod(axis=2)
 
 
 def _normalized_strengths(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -138,37 +107,32 @@ def _normalized_strengths(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     return w / totals[:, None]
 
 
-def rule_outputs(model: AnfisModel, inputs: np.ndarray) -> np.ndarray:
-    """Per-rule consequent outputs q . x + s at one input vector."""
-    inputs = np.atleast_1d(np.asarray(inputs, dtype=float))
-    return np.array(
-        [rule.consequent[:-1] @ inputs + rule.consequent[-1] for rule in model.rules]
-    )
+def rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
+    """Per-rule consequent outputs q . x + s: shape (n_samples, n_rules)
+    for rows of x, or (n_rules,) for one input vector."""
+    x = np.asarray(x, dtype=float)
+    return x @ model.consequents[:, :-1].T + model.consequents[:, -1]
 
 
 def forward(model: AnfisModel, inputs: np.ndarray) -> float:
-    """Model output: normalized-firing-strength weighted sum of the rule
-    consequents.
-
-    Raises:
-        NumericalError: if every rule activation underflows to zero.
-    """
+    """Model output at one input vector; see ``forward_batch``."""
     inputs = np.atleast_1d(np.asarray(inputs, dtype=float))
     if inputs.shape != (model.input_dim,):
         raise DataError(
             f"expected input of shape ({model.input_dim},), got {inputs.shape}"
         )
-    wbar = _normalized_strengths(model, inputs[None, :])[0]
-    return float(wbar @ rule_outputs(model, inputs))
+    return float(forward_batch(model, inputs[None, :])[0])
 
 
 def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Vectorized forward pass over rows of x."""
+    """Model output per row of x: the normalized-firing-strength weighted
+    sum of the rule consequents.
+
+    Raises:
+        NumericalError: if every rule activation underflows to zero.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    wbar = _normalized_strengths(model, x)
-    consequents = np.stack([rule.consequent for rule in model.rules])
-    f = x @ consequents[:, :-1].T + consequents[:, -1]
-    return (wbar * f).sum(axis=1)
+    return (_normalized_strengths(model, x) * rule_outputs(model, x)).sum(axis=1)
 
 
 def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
@@ -223,12 +187,13 @@ def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
     return data[centers]
 
 
-def _input_matrix(inputs) -> np.ndarray:
-    """Stack sample inputs (scalars or vectors) into an (n, d) matrix."""
-    x = np.array([np.atleast_1d(np.asarray(inp, dtype=float)) for inp in inputs])
+def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Sample inputs (scalars or vectors) as an (n, d) matrix, plus the
+    targets as a vector."""
+    x = np.array([np.atleast_1d(np.asarray(inp, dtype=float)) for inp, _ in samples])
     if x.ndim != 2:
         raise DataError("sample inputs must share one dimensionality")
-    return x
+    return x, np.array([target for _, target in samples], dtype=float)
 
 
 def _data_spans(x: np.ndarray) -> np.ndarray:
@@ -252,23 +217,19 @@ def init_fis(
     """
     if not train:
         raise DataError("init_fis needs non-empty training data")
-    x = _input_matrix(inp for inp, _ in train)
+    x, _ = _stack_samples(train)
 
     centers = subtractive_clustering(x, radius)
     spans = _data_spans(x)
     widths = radius * (spans[:, 1] - spans[:, 0]) / math.sqrt(8.0)
-    dim = x.shape[1]
-    rules = tuple(
-        AnfisRule(
-            premises=tuple(
-                BellMembership(m=float(center[d]), l=float(widths[d]), k=1.0)
-                for d in range(dim)
-            ),
-            consequent=np.zeros(dim + 1),
-        )
-        for center in centers
+    premises = np.stack(
+        [centers, np.broadcast_to(widths, centers.shape), np.ones_like(centers)], axis=-1
     )
-    model = AnfisModel(input_dim=dim, rules=rules, input_normalization=spans)
+    model = AnfisModel(
+        premises=premises,
+        consequents=np.zeros((len(centers), x.shape[1] + 1)),
+        input_normalization=spans,
+    )
     return fit_consequents_least_squares(model, train)
 
 
@@ -284,18 +245,12 @@ def fit_consequents_least_squares(
     """
     if not train:
         raise DataError("cannot fit consequents on empty data")
-    x = _input_matrix(inp for inp, _ in train)
-    y = np.array([target for _, target in train], dtype=float)
+    x, y = _stack_samples(train)
 
-    wbar = _normalized_strengths(model, x)  # (n, r)
-    n_rules = len(model.rules)
-    dim = model.input_dim
-    # Design columns per rule: wbar_j * x_d for each d, then wbar_j.
-    design = np.empty((x.shape[0], n_rules * (dim + 1)))
-    for j in range(n_rules):
-        base = j * (dim + 1)
-        design[:, base : base + dim] = wbar[:, j : j + 1] * x
-        design[:, base + dim] = wbar[:, j]
+    # Design columns per rule j: wbar_j * x_d for each d, then wbar_j.
+    wbar = _normalized_strengths(model, x)
+    augmented = np.column_stack([x, np.ones(len(x))])
+    design = (wbar[:, :, None] * augmented[:, None, :]).reshape(len(x), -1)
 
     solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     diagnostics = model.diagnostics
@@ -304,20 +259,16 @@ def fit_consequents_least_squares(
             f"rank-deficient consequent design (rank {rank} of "
             f"{design.shape[1]}); minimum-norm solution used",
         )
-
-    rules = tuple(
-        replace(rule, consequent=solution[j * (dim + 1) : (j + 1) * (dim + 1)].copy())
-        for j, rule in enumerate(model.rules)
+    return replace(
+        model, consequents=solution.reshape(model.consequents.shape), diagnostics=diagnostics
     )
-    return replace(model, rules=rules, diagnostics=diagnostics)
 
 
 def rmse(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
     """Root mean squared prediction error over a dataset."""
     if not dataset:
         raise DataError("rmse needs a non-empty dataset")
-    x = _input_matrix(inp for inp, _ in dataset)
-    y = np.array([target for _, target in dataset], dtype=float)
+    x, y = _stack_samples(dataset)
     errors = forward_batch(model, x) - y
     return float(np.sqrt(np.mean(errors**2)))
 
@@ -326,10 +277,9 @@ def mape(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
     """Mean absolute percentage error; every target must be nonzero."""
     if not dataset:
         raise DataError("mape needs a non-empty dataset")
-    y = np.array([target for _, target in dataset], dtype=float)
+    x, y = _stack_samples(dataset)
     if np.any(y == 0.0):
         raise ValueError("mape undefined for zero targets")
-    x = _input_matrix(inp for inp, _ in dataset)
     errors = forward_batch(model, x) - y
     return float(np.mean(np.abs(errors / y)) * 100.0)
 
@@ -338,13 +288,7 @@ def parameter_vector(model: AnfisModel) -> np.ndarray:
     """Flatten all tunable parameters in the documented fixed order:
     per rule, per input dimension (m, l, k); then per rule the
     consequent (slopes..., bias)."""
-    parts: list[float] = []
-    for rule in model.rules:
-        for mf in rule.premises:
-            parts.extend((mf.m, mf.l, mf.k))
-    for rule in model.rules:
-        parts.extend(rule.consequent.tolist())
-    return np.array(parts)
+    return np.concatenate([model.premises.ravel(), model.consequents.ravel()])
 
 
 def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> AnfisModel:
@@ -361,38 +305,22 @@ def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> Anf
             f"expected {model0.n_parameters} coefficients, got {coefficients.shape}"
         )
 
-    dim = model0.input_dim
-    clamped = 0
-    idx = 0
-    new_rules: list[AnfisRule] = []
-    scaled_premises: list[list[BellMembership]] = []
-    for rule in model0.rules:
-        premises = []
-        for mf in rule.premises:
-            m = mf.m * coefficients[idx]
-            l = mf.l * coefficients[idx + 1]
-            k = mf.k * coefficients[idx + 2]
-            idx += 3
-            if l < MIN_SHAPE_PARAM:
-                l = MIN_SHAPE_PARAM
-                clamped += 1
-            if k < MIN_SHAPE_PARAM:
-                k = MIN_SHAPE_PARAM
-                clamped += 1
-            premises.append(BellMembership(m=m, l=l, k=k))
-        scaled_premises.append(premises)
-    for rule, premises in zip(model0.rules, scaled_premises):
-        n = dim + 1
-        consequent = rule.consequent * coefficients[idx : idx + n]
-        idx += n
-        new_rules.append(AnfisRule(premises=tuple(premises), consequent=consequent))
+    cut = model0.premises.size
+    premises = model0.premises * coefficients[:cut].reshape(model0.premises.shape)
+    consequents = model0.consequents * coefficients[cut:].reshape(model0.consequents.shape)
+    shape_params = premises[..., 1:]  # a view: the clamp writes into premises
+    low = shape_params < MIN_SHAPE_PARAM
+    clamped = int(low.sum())
+    shape_params[low] = MIN_SHAPE_PARAM
 
     diagnostics = model0.diagnostics
     if clamped:
         diagnostics = diagnostics + (
             f"clamped {clamped} width/shape parameter(s) to {MIN_SHAPE_PARAM}",
         )
-    return replace(model0, rules=tuple(new_rules), diagnostics=diagnostics)
+    return replace(
+        model0, premises=premises, consequents=consequents, diagnostics=diagnostics
+    )
 
 
 def model_to_dict(model: AnfisModel) -> dict:
@@ -400,11 +328,8 @@ def model_to_dict(model: AnfisModel) -> dict:
     return {
         "input_dim": model.input_dim,
         "rules": [
-            {
-                "premises": [[mf.m, mf.l, mf.k] for mf in rule.premises],
-                "consequent": rule.consequent.tolist(),
-            }
-            for rule in model.rules
+            {"premises": premises.tolist(), "consequent": consequent.tolist()}
+            for premises, consequent in zip(model.premises, model.consequents)
         ],
         "input_normalization": model.input_normalization.tolist(),
         "diagnostics": list(model.diagnostics),
@@ -412,19 +337,16 @@ def model_to_dict(model: AnfisModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> AnfisModel:
-    rules = tuple(
-        AnfisRule(
-            premises=tuple(BellMembership(m, l, k) for m, l, k in spec["premises"]),
-            consequent=np.array(spec["consequent"], dtype=float),
-        )
-        for spec in payload["rules"]
-    )
-    return AnfisModel(
-        input_dim=int(payload["input_dim"]),
-        rules=rules,
-        input_normalization=np.array(payload["input_normalization"], dtype=float),
+    rules = payload["rules"]
+    model = AnfisModel(
+        premises=[spec["premises"] for spec in rules],
+        consequents=[spec["consequent"] for spec in rules],
+        input_normalization=payload["input_normalization"],
         diagnostics=tuple(payload.get("diagnostics", ())),
     )
+    if model.input_dim != payload["input_dim"]:
+        raise DataError(f"input_dim {payload['input_dim']} does not match the premises")
+    return model
 
 
 def save_model(model: AnfisModel, path: str | Path) -> None:

@@ -28,7 +28,7 @@ from .config import PipelineConfig, _scale_from_dict, load_config
 from .dataset import FeatureMapping, bundled_path, default_catalog, load_dataset
 from .dematel import aggregate_responses, evaluate as dematel_evaluate
 from .ecsa import BENCHMARKS, EcsaConfig, classical_csa, optimize, random_search
-from .errors import DataError, NumericalError, PipelineError
+from .errors import DataError, NumericalError, RiskfuseError
 from .fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue, TriangularFuzzyNumber
 from .pipeline import cv_folds, prepare_samples, run_pipeline, split_train_test, tune_anfis_with_ecsa
 from .reporting import emit_report
@@ -288,15 +288,22 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc.__cause__, NumericalError) else 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, KeyError, OSError) as exc:
+    except (RiskfuseError, KeyError, OSError) as exc:
+        if _numerical_cause(exc):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+
+
+def _numerical_cause(exc: BaseException | None) -> bool:
+    """True when ``exc`` or an exception on its ``__cause__`` chain is a
+    ``NumericalError``."""
+    while exc is not None:
+        if isinstance(exc, NumericalError):
+            return True
+        exc = exc.__cause__
+    return False
 
 
 def main() -> None:

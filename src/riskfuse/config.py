@@ -9,7 +9,9 @@ mapping, and the TOPSIS criteria kinds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 from .dataset import DEFAULT_ORDINAL_VALUES
@@ -50,6 +52,17 @@ class PipelineConfig:
     criteria_kinds: tuple[CriterionKind, ...] = ()
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings under postponed evaluation
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_integer(value):
+                raise DataError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_real(value):
+                raise DataError(f"{f.name} must be a finite number, got {value!r}")
+        levels = self.ordinal_values
+        if not (isinstance(levels, dict) and all(map(_is_real, levels.values()))):
+            raise DataError(f"ordinal_values must map levels to finite numbers, got {levels!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.split_fraction < 1.0):
             raise DataError(
                 f"split_fraction must be inside (0, 1), got {self.split_fraction}"
@@ -85,6 +98,14 @@ class PipelineConfig:
                 f"for {n_criteria} criteria"
             )
         return self.criteria_kinds
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _scale_from_dict(payload: dict) -> LinguisticScale:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -173,11 +174,14 @@ def _parse_number(token: str, column: str, line: int) -> float | None:
     if cleaned.lower() in _MISSING_TOKENS:
         return None
     try:
-        return float(cleaned)
+        value = float(cleaned)
     except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
         raise DataError(
-            f"line {line}: cannot parse {token!r} in column '{column}' as a number"
-        ) from None
+            f"line {line}: cannot parse {token!r} in column '{column}' as a finite number"
+        )
+    return value
 
 
 def _build_record(columns: list[str], values: list[str], line: int, index: int) -> ProjectRecord:

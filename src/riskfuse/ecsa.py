@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, RiskfuseError
 
 RING_REACH = 2  # neighbors on each side of the shuffled ring (size 5 total)
 
@@ -268,8 +268,9 @@ def _ranks_from_fitness(fitnesses: np.ndarray) -> np.ndarray:
     return ranks
 
 
-class ObjectiveError(RuntimeError):
-    """Objective raised during a run; carries iteration and crow index."""
+class ObjectiveError(RiskfuseError):
+    """Objective raised during a run; names the iteration and crow index
+    and keeps the original exception as ``__cause__``."""
 
 
 def _evaluate(

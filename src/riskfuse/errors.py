@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage problems are handled by the
-argument parser, ``DataError`` exits with 2 and ``NumericalError`` with 3.
+argument parser; any package error exits with 3 when a ``NumericalError``
+is on its ``__cause__`` chain (wrapping errors such as ``PipelineError``
+keep the original as their cause) and with 2 otherwise.
 """
 
 

@@ -27,7 +27,7 @@ from .dataset import (
 )
 from .ecsa import EcsaConfig, optimize
 from .errors import DataError, PipelineError, RiskfuseError
-from .fuzzy import IntuitionisticFuzzyValue, LinguisticScale
+from .fuzzy import IntuitionisticFuzzyValue
 from .topsis import IfDecisionMatrix, lift_crisp_weights
 
 P_OUT_TOL = 1e-9
@@ -92,21 +92,6 @@ class RiskReport:
             intermediates=payload.get("intermediates", {}),
             metadata=payload.get("metadata", {}),
         )
-
-
-def derive_weights(
-    respondent_matrices: list, scale: LinguisticScale
-) -> np.ndarray:
-    """DEMATEL priority weights from respondent judgment matrices.
-
-    A single criterion trivially receives the full weight: its 1x1
-    judgment matrix is all diagonal, which the DEMATEL chain would
-    reject as degenerate.
-    """
-    s = dematel.aggregate_responses(respondent_matrices, scale)
-    if s.size == 1:
-        return np.array([1.0])
-    return dematel.evaluate(s).weights
 
 
 def split_train_test(records: list, fraction: float, seed: int) -> tuple[list, list]:
@@ -366,7 +351,7 @@ def run_pipeline(
     best_tuning: TuningResult | None = None
     try:
         for fold_index, (fold_train, fold_test) in enumerate(folds):
-            fold_config = _with_seed(config, tune_seed + fold_index)
+            fold_config = replace(config, seed=tune_seed + fold_index)
             tuning = tune_anfis_with_ecsa(fold_train, fold_test, fold_config)
             fold_metrics.append(
                 {
@@ -467,7 +452,3 @@ def run_pipeline(
         intermediates=intermediates,
         metadata=metadata,
     )
-
-
-def _with_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
-    return replace(config, seed=seed)

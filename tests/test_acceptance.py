@@ -14,8 +14,6 @@ import pytest
 
 from riskfuse.anfis import (
     AnfisModel,
-    AnfisRule,
-    BellMembership,
     apply_parameter_scaling,
     bell_membership,
     fit_consequents_least_squares,
@@ -103,27 +101,20 @@ def test_acceptance_03_anfis_exact_recovery():
     started = time.perf_counter()
     rng = np.random.default_rng(103)
     generator = AnfisModel(
-        input_dim=2,
-        rules=(
-            AnfisRule(
-                premises=(BellMembership(0.25, 0.3, 1.0), BellMembership(0.3, 0.4, 1.5)),
-                consequent=np.array([1.5, -0.7, 0.2]),
-            ),
-            AnfisRule(
-                premises=(BellMembership(0.75, 0.35, 1.2), BellMembership(0.7, 0.3, 1.0)),
-                consequent=np.array([-0.4, 2.1, -1.0]),
-            ),
+        premises=np.array(
+            [
+                [[0.25, 0.3, 1.0], [0.3, 0.4, 1.5]],
+                [[0.75, 0.35, 1.2], [0.7, 0.3, 1.0]],
+            ]
         ),
+        consequents=np.array([[1.5, -0.7, 0.2], [-0.4, 2.1, -1.0]]),
         input_normalization=np.array([[0.0, 1.0], [0.0, 1.0]]),
     )
     xs = rng.uniform(0.0, 1.0, size=(120, 2))
     train = [(x, forward(generator, x)) for x in xs]
     blank = AnfisModel(
-        input_dim=2,
-        rules=tuple(
-            AnfisRule(premises=rule.premises, consequent=np.zeros(3))
-            for rule in generator.rules
-        ),
+        premises=generator.premises,
+        consequents=np.zeros((2, 3)),
         input_normalization=generator.input_normalization,
     )
     refit = fit_consequents_least_squares(blank, train)
@@ -141,22 +132,20 @@ def test_acceptance_03_anfis_exact_recovery():
 def _random_model(rng):
     dim = int(rng.integers(1, 4))
     n_rules = int(rng.integers(1, 5))
-    rules = tuple(
-        AnfisRule(
-            premises=tuple(
-                BellMembership(
-                    m=rng.uniform(-1.0, 2.0),
-                    l=rng.uniform(0.2, 2.0),
-                    k=rng.uniform(0.5, 3.0),
-                )
+    # Draw order per rule: (m, l, k) for each input, then the consequent.
+    premises, consequents = [], []
+    for _ in range(n_rules):
+        premises.append(
+            [
+                (rng.uniform(-1.0, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.5, 3.0))
                 for _ in range(dim)
-            ),
-            consequent=rng.normal(size=dim + 1),
+            ]
         )
-        for _ in range(n_rules)
-    )
+        consequents.append(rng.normal(size=dim + 1))
     spans = np.column_stack([np.full(dim, -1.0), np.full(dim, 2.0)])
-    return AnfisModel(input_dim=dim, rules=rules, input_normalization=spans)
+    return AnfisModel(
+        premises=np.array(premises), consequents=np.array(consequents), input_normalization=spans
+    )
 
 
 def test_acceptance_04_anfis_structural_invariants():
@@ -185,13 +174,10 @@ def test_acceptance_05_anfis_gradient_check():
     for _ in range(100):
         model = _random_model(rng)
         dim = model.input_dim
-        n_rules = len(model.rules)
+        n_rules = model.n_rules
         x = rng.uniform(-1.0, 2.0, size=dim)
         strengths = np.array(
-            [
-                np.prod([bell_membership(x[d], p) for d, p in enumerate(rule.premises)])
-                for rule in model.rules
-            ]
+            [np.prod(bell_membership(x, *rule.T)) for rule in model.premises]
         )
         wbar = strengths / strengths.sum()
         j = int(rng.integers(0, n_rules))
@@ -199,15 +185,11 @@ def test_acceptance_05_anfis_gradient_check():
         analytic = wbar[j] * (x[d] if d < dim else 1.0)
 
         def with_bump(direction):
-            rules = []
-            for rj, rule in enumerate(model.rules):
-                consequent = rule.consequent.copy()
-                if rj == j:
-                    consequent[d] += direction * h
-                rules.append(AnfisRule(premises=rule.premises, consequent=consequent))
+            consequents = model.consequents.copy()
+            consequents[j, d] += direction * h
             return AnfisModel(
-                input_dim=dim,
-                rules=tuple(rules),
+                premises=model.premises,
+                consequents=consequents,
                 input_normalization=model.input_normalization,
             )
 
@@ -398,7 +380,7 @@ def test_acceptance_09_topsis_bruteforce_equivalence():
 def _double_widths(model):
     coefficients = np.ones(model.n_parameters)
     dim = model.input_dim
-    for j in range(len(model.rules)):
+    for j in range(model.n_rules):
         for d in range(dim):
             coefficients[(j * dim + d) * 3 + 1] = 2.0
     return apply_parameter_scaling(model, coefficients)

@@ -3,8 +3,7 @@ import pytest
 
 from riskfuse.anfis import (
     AnfisModel,
-    AnfisRule,
-    BellMembership,
+    _membership_matrix,
     apply_parameter_scaling,
     bell_membership,
     fit_consequents_least_squares,
@@ -27,16 +26,13 @@ from riskfuse.errors import DataError, NumericalError
 def make_model(premise_specs, consequents, spans=None):
     """premise_specs: per rule, per dim (m, l, k); consequents: per rule."""
     dim = len(premise_specs[0])
-    rules = tuple(
-        AnfisRule(
-            premises=tuple(BellMembership(*p) for p in premises),
-            consequent=np.array(consequent, dtype=float),
-        )
-        for premises, consequent in zip(premise_specs, consequents)
-    )
     if spans is None:
         spans = np.column_stack([np.zeros(dim), np.ones(dim)])
-    return AnfisModel(input_dim=dim, rules=rules, input_normalization=spans)
+    return AnfisModel(
+        premises=np.array(premise_specs, dtype=float),
+        consequents=np.array(consequents, dtype=float),
+        input_normalization=spans,
+    )
 
 
 def random_model(rng, dim=None, n_rules=None):
@@ -52,30 +48,28 @@ def random_model(rng, dim=None, n_rules=None):
 
 class TestBellMembership:
     def test_center_gives_one(self):
-        mf = BellMembership(m=0.3, l=0.4, k=2.0)
-        assert bell_membership(0.3, mf) == 1.0
+        assert bell_membership(0.3, m=0.3, l=0.4, k=2.0) == 1.0
 
     def test_unit_distance_gives_half(self):
-        mf = BellMembership(m=1.0, l=0.5, k=1.0)
-        assert bell_membership(1.5, mf) == pytest.approx(0.5)
+        assert bell_membership(1.5, m=1.0, l=0.5, k=1.0) == pytest.approx(0.5)
 
     def test_derived_point(self):
-        assert bell_membership(2.0, BellMembership(0.0, 1.0, 1.0)) == pytest.approx(0.2)
+        assert bell_membership(2.0, 0.0, 1.0, 1.0) == pytest.approx(0.2)
 
     def test_positivity_constraints(self):
         with pytest.raises(DataError):
-            BellMembership(0.0, 0.0, 1.0)
+            make_model([[(0.0, 0.0, 1.0)]], [[0.0, 0.0]])
         with pytest.raises(DataError):
-            BellMembership(0.0, 1.0, -1.0)
+            make_model([[(0.0, 1.0, -1.0)]], [[0.0, 0.0]])
 
     def test_symmetric_and_decreasing(self, rng):
-        mf = BellMembership(m=0.5, l=0.7, k=1.5)
+        mf = (0.5, 0.7, 1.5)  # m, l, k
         offsets = rng.uniform(0.0, 3.0, size=50)
-        left = np.array([bell_membership(0.5 - d, mf) for d in offsets])
-        right = np.array([bell_membership(0.5 + d, mf) for d in offsets])
+        left = np.array([bell_membership(0.5 - d, *mf) for d in offsets])
+        right = np.array([bell_membership(0.5 + d, *mf) for d in offsets])
         assert left == pytest.approx(right)
         ordered = np.sort(offsets)
-        values = [bell_membership(0.5 + d, mf) for d in ordered]
+        values = [bell_membership(0.5 + d, *mf) for d in ordered]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -112,6 +106,19 @@ class TestForward:
             outputs = rule_outputs(model, x)
             value = forward(model, x)
             assert outputs.min() - 1e-9 <= value <= outputs.max() + 1e-9
+
+    def test_membership_matrix_matches_rule_loop(self, rng):
+        for _ in range(20):
+            model = random_model(rng)
+            xs = rng.uniform(-1, 2, size=(7, model.input_dim))
+            loop = [
+                [
+                    np.prod([bell_membership(u, m, l, k) for u, (m, l, k) in zip(x, rule)])
+                    for rule in model.premises
+                ]
+                for x in xs
+            ]
+            assert _membership_matrix(model, xs) == pytest.approx(np.array(loop), rel=1e-14)
 
     def test_batch_matches_scalar(self, rng):
         model = random_model(rng, dim=2, n_rules=3)
@@ -158,7 +165,7 @@ class TestInitFis:
     def test_single_training_point(self):
         train = [(np.array([0.4]), 0.9)]
         model = init_fis(train, radius=0.5)
-        assert len(model.rules) == 1
+        assert model.n_rules == 1
         assert forward(model, np.array([0.4])) == pytest.approx(0.9)
 
     def test_empty_train_rejected(self):
@@ -171,10 +178,7 @@ class TestLeastSquaresFit:
         generator = random_model(rng, dim=2, n_rules=2)
         xs = rng.uniform(-0.5, 1.5, size=(80, 2))
         train = [(x, forward(generator, x)) for x in xs]
-        blank = make_model(
-            [[(p.m, p.l, p.k) for p in rule.premises] for rule in generator.rules],
-            np.zeros((2, 3)),
-        )
+        blank = make_model(generator.premises, np.zeros((2, 3)))
         refit = fit_consequents_least_squares(blank, train)
         assert rmse(refit, train) < 1e-8
 
@@ -191,8 +195,8 @@ class TestLeastSquaresFit:
         train = [(x, float(np.sin(x.sum()))) for x in xs]
         once = fit_consequents_least_squares(model, train)
         twice = fit_consequents_least_squares(once, train)
-        for r1, r2 in zip(once.rules, twice.rules):
-            assert r2.consequent == pytest.approx(r1.consequent, abs=1e-9)
+        for c1, c2 in zip(once.consequents, twice.consequents):
+            assert c2 == pytest.approx(c1, abs=1e-9)
 
     def test_fit_never_hurts(self, rng):
         for _ in range(10):
@@ -263,7 +267,7 @@ class TestParameterScaling:
         coefficients = np.ones(model.n_parameters)
         coefficients[1] = -1.0
         scaled = apply_parameter_scaling(model, coefficients)
-        assert all(p.l > 0.0 for rule in scaled.rules for p in rule.premises)
+        assert np.all(scaled.premises[..., 1] > 0.0)
         assert any("clamp" in note for note in scaled.diagnostics)
 
     def test_length_mismatch(self, rng):
@@ -292,8 +296,8 @@ class TestGradients:
             base_vector = parameter_vector(model)
             premise_count = 2 * 2 * 3
             strengths = []
-            for j, rule in enumerate(model.rules):
-                w = np.prod([bell_membership(x[d], p) for d, p in enumerate(rule.premises)])
+            for rule in model.premises:  # (dim, 3) rows of (m, l, k)
+                w = np.prod(bell_membership(x, *rule.T))
                 strengths.append(w)
             wbar = np.array(strengths) / sum(strengths)
             for j in range(2):
@@ -311,22 +315,21 @@ class TestGradients:
 
 
 def _model_with_vector(model, vector):
-    dim = model.input_dim
-    specs, consequents = [], []
-    idx = 0
-    for _ in model.rules:
-        premises = []
-        for _ in range(dim):
-            premises.append((vector[idx], vector[idx + 1], vector[idx + 2]))
-            idx += 3
-        specs.append(premises)
-    for _ in model.rules:
-        consequents.append(vector[idx : idx + dim + 1])
-        idx += dim + 1
-    return make_model(specs, consequents, spans=model.input_normalization)
+    cut = model.premises.size
+    return make_model(
+        vector[:cut].reshape(model.premises.shape),
+        vector[cut:].reshape(model.consequents.shape),
+        spans=model.input_normalization,
+    )
 
 
 class TestSerialization:
+    def test_input_dim_must_match_premises(self, rng):
+        payload = model_to_dict(random_model(rng, dim=2, n_rules=1))
+        payload["input_dim"] = 3
+        with pytest.raises(DataError, match="input_dim"):
+            model_from_dict(payload)
+
     def test_round_trip(self, rng, tmp_path):
         model = random_model(rng, dim=2, n_rules=3)
         clone = model_from_dict(model_to_dict(model))

@@ -4,6 +4,7 @@ import pytest
 
 from riskfuse.cli import cli_main
 from riskfuse.dataset import bundled_path
+from riskfuse.errors import NumericalError
 
 
 @pytest.fixture
@@ -75,6 +76,34 @@ class TestExitCodes:
         path = tmp_path / "uniform.json"
         path.write_text(json.dumps(matrices))
         assert cli_main(["weights", "--matrices", str(path)]) == 3
+
+    def test_wrong_config_type_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"runs": "3"}))
+        assert cli_main(["--config", str(path), "pipeline"]) == 2
+
+    @pytest.mark.parametrize(
+        "command", [["pipeline"], ["tune", "--data", str(bundled_path("nasa93.arff"))]]
+    )
+    def test_numerical_error_inside_search(self, command, quick_config_file, monkeypatch, capsys):
+        # The refit fails on its fifth call: inside the search objective,
+        # after the base model's own fits have succeeded.
+        from riskfuse import anfis
+
+        real_fit = anfis.fit_consequents_least_squares
+        calls = []
+
+        def failing_fit(model, train):
+            calls.append(None)
+            if len(calls) == 5:
+                raise NumericalError("injected refit failure")
+            return real_fit(model, train)
+
+        monkeypatch.setattr(anfis, "fit_consequents_least_squares", failing_fit)
+        assert cli_main(["--config", quick_config_file] + command) == 3
+        err = capsys.readouterr().err
+        assert "injected refit failure" in err
+        assert "iteration 0, crow" in err
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0

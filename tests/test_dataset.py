@@ -49,6 +49,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity"])
+    def test_non_finite_number_rejected(self, tmp_path, token):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"rely,kloc,effort\nn,{token},100\n")
+        with pytest.raises(DataError, match="line 2.*kloc"):
+            load_dataset(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope.csv")
@@ -188,6 +195,26 @@ class TestConfig:
             PipelineConfig(cv_folds=1)
         with pytest.raises(DataError):
             PipelineConfig(coefficient_mode="other")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"runs": "3"},
+            {"runs": 3.0},
+            {"seed": True},
+            {"ap_min": "a"},
+            {"cluster_radius": float("nan")},
+            {"ordinal_values": {"low": "a"}},
+            {"ordinal_values": "x"},
+        ],
+    )
+    def test_wrong_value_types_rejected(self, payload):
+        with pytest.raises(DataError, match=next(iter(payload))):
+            config_from_dict(payload)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed"):
+            PipelineConfig(seed=-1)
 
     def test_coefficient_bounds(self):
         assert PipelineConfig().coefficient_bounds() == (0.1, 10.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from riskfuse import dematel
 from riskfuse.anfis import init_fis, parameter_vector, rmse
 from riskfuse.config import PipelineConfig
 from riskfuse.dataset import bundled_path
@@ -12,7 +13,6 @@ from riskfuse.pipeline import (
     RiskReport,
     aggregate_risk,
     cv_folds,
-    derive_weights,
     potential_scores,
     run_pipeline,
     split_train_test,
@@ -50,18 +50,17 @@ def respondent_fixture():
 class TestDeriveWeights:
     def test_two_by_two_trace(self):
         matrices = [[[0.0, 2.0], [1.0, 0.0]]]
-        weights = derive_weights(matrices, DEFAULT_DEMATEL_SCALE)
+        s = dematel.aggregate_responses(matrices, DEFAULT_DEMATEL_SCALE)
+        weights = dematel.evaluate(s).weights
         assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_near_symmetric_judgments_near_uniform(self):
         cell = TFN(0.25, 0.5, 0.75)
         matrix = [[0.0 if i == j else cell for j in range(3)] for i in range(3)]
         matrix[0][1] = TFN(0.2500001, 0.5000001, 0.7500001)
-        weights = derive_weights([matrix], DEFAULT_DEMATEL_SCALE)
+        s = dematel.aggregate_responses([matrix], DEFAULT_DEMATEL_SCALE)
+        weights = dematel.evaluate(s).weights
         assert weights == pytest.approx(np.full(3, 1 / 3), abs=1e-5)
-
-    def test_single_criterion(self):
-        assert derive_weights([[[0.0]]], DEFAULT_DEMATEL_SCALE) == pytest.approx([1.0])
 
 
 class TestSplit:
@@ -126,7 +125,7 @@ class TestTuning:
         widened = parameter_vector(base).copy()
         coefficients = np.ones_like(widened)
         dim = base.input_dim
-        for j in range(len(base.rules)):
+        for j in range(base.n_rules):
             for d in range(dim):
                 coefficients[(j * dim + d) * 3 + 1] = 2.0  # double every width
         from riskfuse.anfis import apply_parameter_scaling
