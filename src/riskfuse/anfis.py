@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -88,15 +89,15 @@ class AnfisModel:
         return self.premises.size + self.consequents.size
 
 
-def _membership_matrix(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Firing strengths for a batch: shape (n_samples, n_rules)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    m, l, k = model.premises.transpose(2, 0, 1)
+def _membership_matrix(premises: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Firing strengths of the (rules, inputs, 3) premises for the rows of
+    x: shape (n_samples, n_rules)."""
+    m, l, k = premises.transpose(2, 0, 1)
     return bell_membership(x[:, None, :], m, l, k).prod(axis=2)
 
 
-def _normalized_strengths(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    w = _membership_matrix(model, x)
+def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> np.ndarray:
+    w = _membership_matrix(premises, x)
     totals = w.sum(axis=1)
     dead = totals <= 0.0
     if np.any(dead):
@@ -107,11 +108,19 @@ def _normalized_strengths(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     return w / totals[:, None]
 
 
+def _rule_outputs(consequents: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return x @ consequents[:, :-1].T + consequents[:, -1]
+
+
 def rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Per-rule consequent outputs q . x + s: shape (n_samples, n_rules)
     for rows of x, or (n_rules,) for one input vector."""
-    x = np.asarray(x, dtype=float)
-    return x @ model.consequents[:, :-1].T + model.consequents[:, -1]
+    return _rule_outputs(model.consequents, np.asarray(x, dtype=float))
+
+
+def _weighted_output(wbar: np.ndarray, x: np.ndarray, consequents: np.ndarray) -> np.ndarray:
+    """Per-row rule outputs weighted by the normalized strengths wbar."""
+    return (wbar * _rule_outputs(consequents, x)).sum(axis=1)
 
 
 def forward(model: AnfisModel, inputs: np.ndarray) -> float:
@@ -132,7 +141,7 @@ def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
         NumericalError: if every rule activation underflows to zero.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return (_normalized_strengths(model, x) * rule_outputs(model, x)).sum(axis=1)
+    return _weighted_output(_normalized_strengths(model.premises, x), x, model.consequents)
 
 
 def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
@@ -233,6 +242,29 @@ def init_fis(
     return fit_consequents_least_squares(model, train)
 
 
+def _refit(
+    premises: np.ndarray, x: np.ndarray, augmented: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Minimum-norm least-squares consequents at fixed premises.
+
+    ``augmented`` is ``[x 1]``.  Returns the normalized strengths, the
+    (rules, inputs + 1) consequents and the rank of the design.
+    """
+    wbar = _normalized_strengths(premises, x)
+    # Design columns per rule j: wbar_j * x_d for each d, then wbar_j.
+    design = (wbar[:, :, None] * augmented[:, None, :]).reshape(len(x), -1)
+    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    return wbar, solution.reshape(len(premises), -1), rank
+
+
+def _augment(x: np.ndarray) -> np.ndarray:
+    return np.column_stack([x, np.ones(len(x))])
+
+
+def _root_mean_square(errors: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(errors**2)))
+
+
 def fit_consequents_least_squares(
     model: AnfisModel, train: list[tuple[np.ndarray, float]]
 ) -> AnfisModel:
@@ -246,22 +278,57 @@ def fit_consequents_least_squares(
     if not train:
         raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
-
-    # Design columns per rule j: wbar_j * x_d for each d, then wbar_j.
-    wbar = _normalized_strengths(model, x)
-    augmented = np.column_stack([x, np.ones(len(x))])
-    design = (wbar[:, :, None] * augmented[:, None, :]).reshape(len(x), -1)
-
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    _, consequents, rank = _refit(model.premises, x, _augment(x), y)
     diagnostics = model.diagnostics
-    if rank < design.shape[1]:
+    if rank < consequents.size:
         diagnostics = diagnostics + (
             f"rank-deficient consequent design (rank {rank} of "
-            f"{design.shape[1]}); minimum-norm solution used",
+            f"{consequents.size}); minimum-norm solution used",
         )
-    return replace(
-        model, consequents=solution.reshape(model.consequents.shape), diagnostics=diagnostics
-    )
+    return replace(model, consequents=consequents, diagnostics=diagnostics)
+
+
+def refit_rmse(
+    premises: np.ndarray, x: np.ndarray, augmented: np.ndarray, y: np.ndarray
+) -> float:
+    """Training RMSE after a least-squares consequent refit at fixed
+    premises, with ``augmented`` = ``[x 1]``: ``fit_consequents_least_squares``
+    then ``rmse`` on the same rows, from one membership pass."""
+    wbar, consequents, _ = _refit(premises, x, augmented, y)
+    return _root_mean_square(_weighted_output(wbar, x, consequents) - y)
+
+
+def scaling_objective(
+    model0: AnfisModel, train: list[tuple[np.ndarray, float]], floor: float = 0.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch search objective over parameter-scaling coefficients.
+
+    Takes a (candidates, n_parameters) array and returns per row the
+    training RMSE of ``apply_parameter_scaling`` followed by
+    ``fit_consequents_least_squares``, bit for bit, without building
+    models: the training matrix is stacked once, and per candidate only
+    the premise block is scaled (the refit replaces the consequents).  An
+    RMSE at or below ``floor`` scores as exactly 0.
+    """
+    if not train:
+        raise DataError("cannot fit consequents on empty data")
+    x, y = _stack_samples(train)
+    augmented = _augment(x)
+
+    def objective(coefficients: np.ndarray) -> np.ndarray:
+        coefficients = np.asarray(coefficients, dtype=float)
+        if coefficients.ndim != 2 or coefficients.shape[1] != model0.n_parameters:
+            raise DataError(
+                f"expected (candidates, {model0.n_parameters}) coefficients, "
+                f"got {coefficients.shape}"
+            )
+        premises, _ = _scaled_premises(model0.premises, coefficients)
+        # One candidate at a time: a membership tensor over all candidates
+        # would hold candidates x rows x rules x inputs values at once.
+        errs = np.array([refit_rmse(p, x, augmented, y) for p in premises])
+        return np.where(errs > floor, errs, 0.0)
+
+    return objective
 
 
 def rmse(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
@@ -269,8 +336,7 @@ def rmse(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
     if not dataset:
         raise DataError("rmse needs a non-empty dataset")
     x, y = _stack_samples(dataset)
-    errors = forward_batch(model, x) - y
-    return float(np.sqrt(np.mean(errors**2)))
+    return _root_mean_square(forward_batch(model, x) - y)
 
 
 def mape(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
@@ -291,6 +357,18 @@ def parameter_vector(model: AnfisModel) -> np.ndarray:
     return np.concatenate([model.premises.ravel(), model.consequents.ravel()])
 
 
+def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, int]:
+    """Premises times the leading ``premises0.size`` coefficients of each
+    row (over any leading axes), with widths and shape exponents below
+    ``MIN_SHAPE_PARAM`` clamped to it; plus the number clamped."""
+    lead = coefficients.shape[:-1]
+    premises = premises0 * coefficients[..., : premises0.size].reshape(lead + premises0.shape)
+    shape_params = premises[..., 1:]  # a view: the clamp writes into premises
+    low = shape_params < MIN_SHAPE_PARAM
+    shape_params[low] = MIN_SHAPE_PARAM
+    return premises, int(low.sum())
+
+
 def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> AnfisModel:
     """Scale every tunable parameter of a base model multiplicatively.
 
@@ -305,13 +383,9 @@ def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> Anf
             f"expected {model0.n_parameters} coefficients, got {coefficients.shape}"
         )
 
+    premises, clamped = _scaled_premises(model0.premises, coefficients)
     cut = model0.premises.size
-    premises = model0.premises * coefficients[:cut].reshape(model0.premises.shape)
     consequents = model0.consequents * coefficients[cut:].reshape(model0.consequents.shape)
-    shape_params = premises[..., 1:]  # a view: the clamp writes into premises
-    low = shape_params < MIN_SHAPE_PARAM
-    clamped = int(low.sum())
-    shape_params[low] = MIN_SHAPE_PARAM
 
     diagnostics = model0.diagnostics
     if clamped:

@@ -30,7 +30,7 @@ from .dematel import aggregate_responses, evaluate as dematel_evaluate
 from .ecsa import BENCHMARKS, EcsaConfig, classical_csa, optimize, random_search
 from .errors import DataError, NumericalError, RiskfuseError
 from .fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue, TriangularFuzzyNumber
-from .pipeline import cv_folds, prepare_samples, run_pipeline, split_train_test, tune_anfis_with_ecsa
+from .pipeline import cross_validate, prepare_samples, run_pipeline
 from .reporting import emit_report
 from .topsis import (
     CriterionKind,
@@ -49,6 +49,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _format_vector(values) -> str:
@@ -130,13 +140,7 @@ def _cmd_tune(args) -> int:
     mapping = FeatureMapping.fit(records, config.ordinal_values, config.missing_value)
     samples, _, _ = prepare_samples(records, catalog, mapping, config.anfis_inputs)
 
-    seeds = np.random.SeedSequence(config.seed).generate_state(4)
-    train, _ = split_train_test(samples, config.split_fraction, int(seeds[0]))
-    folds = cv_folds(train, config.cv_folds, int(seeds[1]))
-    for index, (fold_train, fold_test) in enumerate(folds):
-        tuning = tune_anfis_with_ecsa(
-            fold_train, fold_test, replace(config, seed=int(seeds[2]) + index)
-        )
+    for index, tuning in enumerate(cross_validate(samples, config).tunings):
         print(
             f"fold {index}: train_rmse={tuning.train_rmse:.6f} "
             f"test_rmse={tuning.test_rmse:.6f} test_mape={tuning.test_mape:.2f}% "
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench-ecsa", help="optimizer benchmark harness")
     bench.add_argument("--function", choices=("sphere", "rastrigin", "both"), default="sphere")
-    bench.add_argument("--runs", type=int, default=20)
+    bench.add_argument("--runs", type=_positive_int, default=20)
     bench.add_argument("--dimensions", type=int, default=5)
     bench.add_argument("--population", type=int, default=10)
     bench.add_argument("--iterations", type=int, default=100)

@@ -29,6 +29,9 @@ from .errors import DataError, RiskfuseError
 
 RING_REACH = 2  # neighbors on each side of the shuffled ring (size 5 total)
 
+# A batch objective: (crows, dim) positions in, one value per row out.
+Objective = Callable[[np.ndarray], "np.ndarray | float"]
+
 
 def _clamp(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """np.clip without its Python-level dispatch, which costs more than the
@@ -269,39 +272,54 @@ def _ranks_from_fitness(fitnesses: np.ndarray) -> np.ndarray:
 
 
 class ObjectiveError(RiskfuseError):
-    """Objective raised during a run; names the iteration and crow index
-    and keeps the original exception as ``__cause__``."""
+    """Objective raised during a run; names the iteration and keeps the
+    original exception as ``__cause__``."""
 
 
 def _evaluate(
-    objective: Callable[[np.ndarray], float],
-    position: np.ndarray,
+    objective: Objective,
+    positions: np.ndarray,
     config: EcsaConfig,
     rng: np.random.Generator,
     itr: int,
-    crow: int,
-) -> tuple[float, float]:
-    """Fitness and raw objective value of one position."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitnesses and raw objective values of a (crows, dim) population.
+
+    The objective is called once with all rows (bits in binary mode) and
+    returns one value per row; a scalar result counts for every row.  A
+    stochastic threshold draws one (crows, dim) block, the same stream as
+    one draw per crow in crow order.
+    """
     if config.mode == "binary":
-        bits = binarize(
-            position,
+        solutions = binarize(
+            positions,
             config.binary_threshold,
             rng=rng if config.stochastic_threshold else None,
         )
-        solution, subset_fraction = bits, float(bits.mean())
+        subset_fractions = solutions.mean(axis=1)
     else:
-        solution, subset_fraction = position, None
+        solutions, subset_fractions = positions, None
+    errs = np.empty(len(positions))
     try:
-        err = float(objective(solution))
+        errs[:] = objective(solutions)
     except Exception as exc:
-        raise ObjectiveError(
-            f"objective failed at iteration {itr}, crow {crow}: {exc}"
-        ) from exc
-    return fitness(err, config.beta, subset_fraction), err
+        raise ObjectiveError(f"objective failed at iteration {itr}: {exc}") from exc
+    return fitness(errs, config.beta, subset_fractions), errs
+
+
+def _remember(
+    pop: CrowPopulation, memory_errs: np.ndarray, fits: np.ndarray, errs: np.ndarray
+) -> None:
+    """Record the new fitnesses; memories move only where a crow improved."""
+    pop.fitnesses = fits
+    improved = fits < pop.memory_fitnesses
+    pop.memory_fitnesses[improved] = fits[improved]
+    pop.memories[improved] = pop.positions[improved]
+    memory_errs[improved] = errs[improved]
 
 
 def optimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Objective,
     config: EcsaConfig,
     initial_guesses: Sequence[np.ndarray] = (),
 ) -> OptimizationResult:
@@ -314,6 +332,9 @@ def optimize(
     seeds reproduce runs bit for bit.
 
     Args:
+        objective: called once per iteration with the (crows, dim)
+            positions (bits in binary mode); returns one value per row,
+            or one scalar for every row.
         initial_guesses: optional warm-start positions replacing the
             first crows' random spots (clamped to the bounds).
     """
@@ -331,12 +352,8 @@ def optimize(
         pop.positions[j] = guess
         pop.memories[j] = guess.copy()
 
-    memory_errs = np.full(n, np.inf)
-    for j in range(n):
-        fit, err = _evaluate(objective, pop.positions[j], config, rng, 0, j)
-        pop.fitnesses[j] = fit
-        pop.memory_fitnesses[j] = fit
-        memory_errs[j] = err
+    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, rng, 0)
+    pop.memory_fitnesses = pop.fitnesses.copy()
     pop.ranks = _ranks_from_fitness(pop.fitnesses)
     history = [float(pop.memory_fitnesses.min())]
 
@@ -359,13 +376,7 @@ def optimize(
                 )
 
         pop.positions = new_positions
-        for j in range(n):
-            fit, err = _evaluate(objective, pop.positions[j], config, rng, itr, j)
-            pop.fitnesses[j] = fit
-            if fit < pop.memory_fitnesses[j]:
-                pop.memory_fitnesses[j] = fit
-                pop.memories[j] = pop.positions[j].copy()
-                memory_errs[j] = err
+        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, rng, itr))
         pop.ranks = _ranks_from_fitness(pop.fitnesses)
         history.append(float(pop.memory_fitnesses.min()))
 
@@ -389,7 +400,7 @@ def optimize(
     )
 
 
-def classical_csa(objective: Callable[[np.ndarray], float], config: EcsaConfig) -> OptimizationResult:
+def classical_csa(objective: Objective, config: EcsaConfig) -> OptimizationResult:
     """Plain crow search baseline (internal, for benchmark comparison).
 
     Fixed awareness probability (``ap_min``), random crow to follow,
@@ -401,12 +412,8 @@ def classical_csa(objective: Callable[[np.ndarray], float], config: EcsaConfig) 
     n = config.population_size
     lower, upper = config.lower, config.upper
 
-    memory_errs = np.full(n, np.inf)
-    for j in range(n):
-        fit, err = _evaluate(objective, pop.positions[j], config, rng, 0, j)
-        pop.fitnesses[j] = fit
-        pop.memory_fitnesses[j] = fit
-        memory_errs[j] = err
+    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, rng, 0)
+    pop.memory_fitnesses = pop.fitnesses.copy()
     history = [float(pop.memory_fitnesses.min())]
 
     for itr in range(1, config.max_iterations + 1):
@@ -420,13 +427,7 @@ def classical_csa(objective: Callable[[np.ndarray], float], config: EcsaConfig) 
                 moved = lower + rng.random(config.dim) * (upper - lower)
             new_positions[j] = np.clip(moved, lower, upper)
         pop.positions = new_positions
-        for j in range(n):
-            fit, err = _evaluate(objective, pop.positions[j], config, rng, itr, j)
-            pop.fitnesses[j] = fit
-            if fit < pop.memory_fitnesses[j]:
-                pop.memory_fitnesses[j] = fit
-                pop.memories[j] = pop.positions[j].copy()
-                memory_errs[j] = err
+        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, rng, itr))
         history.append(float(pop.memory_fitnesses.min()))
 
     best_idx = int(np.argmin(pop.memory_fitnesses))
@@ -445,25 +446,22 @@ def classical_csa(objective: Callable[[np.ndarray], float], config: EcsaConfig) 
     )
 
 
-def random_search(objective: Callable[[np.ndarray], float], config: EcsaConfig) -> OptimizationResult:
+def random_search(objective: Objective, config: EcsaConfig) -> OptimizationResult:
     """Uniform random sampling with the same evaluation budget (internal
     baseline)."""
     rng = np.random.default_rng(config.seed)
     lower, upper = config.lower, config.upper
     best_fit = math.inf
     best_err = math.inf
-    best_pos = lower.copy()
+    best_pos = lower
     history = []
-    evaluated = 0
     for block in range(config.max_iterations + 1):
-        for j in range(config.population_size):
-            position = lower + rng.random(config.dim) * (upper - lower)
-            fit, err = _evaluate(objective, position, config, rng, block, j)
-            evaluated += 1
-            if fit < best_fit:
-                best_fit = fit
-                best_err = err
-                best_pos = position
+        positions = lower + rng.random((config.population_size, config.dim)) * (upper - lower)
+        fits, errs = _evaluate(objective, positions, config, rng, block)
+        # First best row, as a crow-by-crow scan would pick it (NaN never wins).
+        j = int(np.argmin(np.where(np.isnan(fits), np.inf, fits)))
+        if fits[j] < best_fit:
+            best_fit, best_err, best_pos = float(fits[j]), errs[j], positions[j]
         history.append(best_fit)
     return OptimizationResult(
         best_position=best_pos.copy(),
@@ -472,7 +470,7 @@ def random_search(objective: Callable[[np.ndarray], float], config: EcsaConfig) 
         metadata={
             "seed": config.seed,
             "iterations_executed": config.max_iterations,
-            "evaluations": evaluated,
+            "evaluations": config.evaluation_budget,
             "mode": config.mode,
             "best_objective": float(best_err),
             "algorithm": "random-search",
@@ -480,19 +478,19 @@ def random_search(objective: Callable[[np.ndarray], float], config: EcsaConfig) 
     )
 
 
-def sphere(x: np.ndarray) -> float:
-    """Sum of squares benchmark function."""
+def sphere(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row (the last axis) of x."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x**2))
+    return np.sum(x**2, axis=-1)
 
 
-def rastrigin(x: np.ndarray) -> float:
-    """Multimodal benchmark: 10 d + sum(x^2 - 10 cos(2 pi x))."""
+def rastrigin(x: np.ndarray) -> np.ndarray:
+    """Multimodal benchmark per row of x: 10 d + sum(x^2 - 10 cos(2 pi x))."""
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * math.pi * x)))
+    return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * math.pi * x), axis=-1)
 
 
-BENCHMARKS: dict[str, Callable[[np.ndarray], float]] = {
+BENCHMARKS: dict[str, Objective] = {
     "sphere": sphere,
     "rastrigin": rastrigin,
 }

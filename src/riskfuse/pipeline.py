@@ -168,12 +168,7 @@ def tune_anfis_with_ecsa(
     lo, hi = config.coefficient_bounds()
     identity = np.ones(n_coeff)
     exact_fit = EXACT_FIT_RTOL * math.sqrt(np.mean([target**2 for _, target in train]))
-
-    def objective(coefficients: np.ndarray) -> float:
-        scaled = anfis.apply_parameter_scaling(base_model, coefficients)
-        refit = anfis.fit_consequents_least_squares(scaled, train)
-        err = anfis.rmse(refit, train)
-        return err if err > exact_fit else 0.0
+    objective = anfis.scaling_objective(base_model, train, floor=exact_fit)
 
     run_seeds = np.random.SeedSequence(config.seed).generate_state(config.runs)
     run_stats: list[dict] = []
@@ -220,6 +215,51 @@ def tune_anfis_with_ecsa(
         test_rmse=anfis.rmse(model, test),
         test_mape=anfis.mape(model, test),
         run_stats=run_stats,
+    )
+
+
+@dataclass(frozen=True)
+class CrossValidation:
+    """The tuning protocol's artifacts: the seeds it derived, the
+    train/test split, the folds of the training part, and one tuning
+    result per fold."""
+
+    stage_seeds: dict[str, int]
+    train: list[Sample]
+    test: list[Sample]
+    folds: list[tuple[list[Sample], list[Sample]]]
+    tunings: list[TuningResult]
+
+
+def cross_validate(samples: list[Sample], config: PipelineConfig) -> CrossValidation:
+    """Run the tuning protocol on the samples.
+
+    Derives the split, fold and tuning seeds from ``config.seed``, splits
+    the samples, cuts the training part into folds, and tunes one model
+    per fold (fold i searches with the tuning seed plus i).  Split
+    failures raise :class:`PipelineError` for stage ``split``, tuning
+    failures for stage ``tuning``.
+    """
+    seeds = np.random.SeedSequence(config.seed).generate_state(4)
+    split_seed, cv_seed, tune_seed = (int(s) for s in seeds[:3])
+    try:
+        train, test = split_train_test(samples, config.split_fraction, split_seed)
+        folds = cv_folds(train, config.cv_folds, cv_seed)
+    except RiskfuseError as exc:
+        raise PipelineError("split", str(exc)) from exc
+    try:
+        tunings = [
+            tune_anfis_with_ecsa(fold_train, fold_test, replace(config, seed=tune_seed + i))
+            for i, (fold_train, fold_test) in enumerate(folds)
+        ]
+    except RiskfuseError as exc:
+        raise PipelineError("tuning", str(exc)) from exc
+    return CrossValidation(
+        stage_seeds={"split": split_seed, "cv": cv_seed, "tuning": tune_seed},
+        train=train,
+        test=test,
+        folds=folds,
+        tunings=tunings,
     )
 
 
@@ -311,8 +351,6 @@ def run_pipeline(
     catalog = catalog or default_catalog()
     criteria = list(catalog.group_names())
     n = len(criteria)
-    seeds = np.random.SeedSequence(config.seed).generate_state(4)
-    split_seed, cv_seed, tune_seed = (int(s) for s in seeds[:3])
 
     # DEMATEL criterion weights.
     try:
@@ -341,34 +379,24 @@ def run_pipeline(
         raise PipelineError("features", str(exc)) from exc
 
     # Protocol: split, per-fold tuning, winner by fold-test error.
+    cv = cross_validate(samples, config)
+    fold_metrics = [
+        {
+            "fold": fold_index,
+            "train_size": len(fold_train),
+            "test_size": len(fold_test),
+            "base_train_rmse": tuning.base_train_rmse,
+            "train_rmse": tuning.train_rmse,
+            "test_rmse": tuning.test_rmse,
+            "test_mape": tuning.test_mape,
+        }
+        for fold_index, ((fold_train, fold_test), tuning) in enumerate(zip(cv.folds, cv.tunings))
+    ]
+    best_tuning = min(cv.tunings, key=lambda tuning: tuning.test_rmse)
+    model = best_tuning.model
     try:
-        train, test = split_train_test(samples, config.split_fraction, split_seed)
-        folds = cv_folds(train, config.cv_folds, cv_seed)
-    except RiskfuseError as exc:
-        raise PipelineError("split", str(exc)) from exc
-
-    fold_metrics = []
-    best_tuning: TuningResult | None = None
-    try:
-        for fold_index, (fold_train, fold_test) in enumerate(folds):
-            fold_config = replace(config, seed=tune_seed + fold_index)
-            tuning = tune_anfis_with_ecsa(fold_train, fold_test, fold_config)
-            fold_metrics.append(
-                {
-                    "fold": fold_index,
-                    "train_size": len(fold_train),
-                    "test_size": len(fold_test),
-                    "base_train_rmse": tuning.base_train_rmse,
-                    "train_rmse": tuning.train_rmse,
-                    "test_rmse": tuning.test_rmse,
-                    "test_mape": tuning.test_mape,
-                }
-            )
-            if best_tuning is None or tuning.test_rmse < best_tuning.test_rmse:
-                best_tuning = tuning
-        model = best_tuning.model
-        heldout_rmse = anfis.rmse(model, test)
-        heldout_mape = anfis.mape(model, test)
+        heldout_rmse = anfis.rmse(model, cv.test)
+        heldout_mape = anfis.mape(model, cv.test)
     except RiskfuseError as exc:
         raise PipelineError("tuning", str(exc)) from exc
 
@@ -431,10 +459,10 @@ def run_pipeline(
     }
     metadata = {
         "seed": config.seed,
-        "stage_seeds": {"split": split_seed, "cv": cv_seed, "tuning": tune_seed},
+        "stage_seeds": cv.stage_seeds,
         "records": len(records),
-        "train_size": len(train),
-        "test_size": len(test),
+        "train_size": len(cv.train),
+        "test_size": len(cv.test),
         "fold_metrics": fold_metrics,
         "heldout_rmse": heldout_rmse,
         "heldout_mape": heldout_mape,

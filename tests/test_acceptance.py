@@ -155,7 +155,7 @@ def test_acceptance_04_anfis_structural_invariants():
     for _ in range(1000):
         model = _random_model(rng)
         x = rng.uniform(-1.0, 2.0, size=model.input_dim)
-        wbar = _normalized_strengths(model, x[None, :])[0]
+        wbar = _normalized_strengths(model.premises, x[None, :])[0]
         assert abs(wbar.sum() - 1.0) < 1e-9
         assert np.all(wbar >= 0.0)
         outputs = rule_outputs(model, x)

@@ -118,7 +118,7 @@ class TestForward:
                 ]
                 for x in xs
             ]
-            assert _membership_matrix(model, xs) == pytest.approx(np.array(loop), rel=1e-14)
+            assert _membership_matrix(model.premises, xs) == pytest.approx(np.array(loop), rel=1e-14)
 
     def test_batch_matches_scalar(self, rng):
         model = random_model(rng, dim=2, n_rules=3)

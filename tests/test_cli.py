@@ -86,24 +86,24 @@ class TestExitCodes:
         "command", [["pipeline"], ["tune", "--data", str(bundled_path("nasa93.arff"))]]
     )
     def test_numerical_error_inside_search(self, command, quick_config_file, monkeypatch, capsys):
-        # The refit fails on its fifth call: inside the search objective,
-        # after the base model's own fits have succeeded.
+        # The per-candidate refit fails on its third call: inside the
+        # search objective's first batch.
         from riskfuse import anfis
 
-        real_fit = anfis.fit_consequents_least_squares
+        real_refit = anfis.refit_rmse
         calls = []
 
-        def failing_fit(model, train):
+        def failing_refit(*args):
             calls.append(None)
-            if len(calls) == 5:
+            if len(calls) == 3:
                 raise NumericalError("injected refit failure")
-            return real_fit(model, train)
+            return real_refit(*args)
 
-        monkeypatch.setattr(anfis, "fit_consequents_least_squares", failing_fit)
+        monkeypatch.setattr(anfis, "refit_rmse", failing_refit)
         assert cli_main(["--config", quick_config_file] + command) == 3
         err = capsys.readouterr().err
         assert "injected refit failure" in err
-        assert "iteration 0, crow" in err
+        assert "objective failed at iteration 0:" in err
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0
@@ -165,3 +165,8 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("function,run,seed")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_nonpositive_runs_is_usage_error(self, runs, capsys):
+        assert cli_main(["bench-ecsa", "--runs", runs]) == 1
+        assert "--runs: expected a positive integer" in capsys.readouterr().err

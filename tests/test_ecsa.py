@@ -243,9 +243,9 @@ class TestOptimize:
         seen = []
 
         def objective(x):
-            value = sphere(x)
-            seen.append(fitness(value, config.beta))
-            return value
+            values = sphere(x)
+            seen.extend(fitness(values, config.beta))
+            return values
 
         result = optimize(objective, config)
         assert result.best_fitness == pytest.approx(min(seen))
@@ -288,14 +288,45 @@ class TestOptimize:
         def bad(x):
             raise RuntimeError("boom")
 
-        with pytest.raises(ObjectiveError, match="iteration 0, crow 0"):
+        with pytest.raises(ObjectiveError, match="^objective failed at iteration 0: boom$") as info:
             optimize(bad, config)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_objective_error_names_later_iteration(self):
+        config = unit_config()
+        calls = []
+
+        def fails_third(x):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return sphere(x)
+
+        with pytest.raises(ObjectiveError, match="^objective failed at iteration 2: boom$"):
+            optimize(fails_third, config)
+
+    def test_one_call_per_iteration_with_all_crows(self):
+        config = unit_config(dim=3, population_size=6, max_iterations=4)
+        shapes = []
+
+        def objective(x):
+            shapes.append(x.shape)
+            return sphere(x)
+
+        optimize(objective, config)
+        assert shapes == [(6, 3)] * 5
+
+    def test_wrong_result_length_is_objective_error(self):
+        config = unit_config()
+        with pytest.raises(ObjectiveError, match="iteration 0"):
+            optimize(lambda x: np.zeros(len(x) + 1), config)
 
     def test_binary_mode(self):
         config = unit_config(dim=4, mode="binary", seed=13, bounds=((-4.0, 4.0),) * 4)
 
         def count_on(bits):
-            return float(bits.sum())  # minimized by the all-zero subset
+            assert bits.shape == (config.population_size, config.dim)
+            return bits.sum(axis=1).astype(float)  # minimized by the all-zero subset
 
         result = optimize(count_on, config)
         assert result.metadata["best_bits"] == [0, 0, 0, 0]
@@ -334,9 +365,58 @@ class TestBaselines:
         calls = []
 
         def objective(x):
-            calls.append(1)
+            calls.append(len(x))
             return sphere(x)
 
         result = random_search(objective, config)
-        assert len(calls) == config.evaluation_budget
+        assert len(calls) == config.max_iterations + 1
+        assert sum(calls) == config.evaluation_budget
         assert result.metadata["evaluations"] == config.evaluation_budget
+
+
+class TestStreamPins:
+    """Fixed-seed results recorded when the objective was still called
+    once per crow: the batch call keeps every random draw in place."""
+
+    CONFIG = dict(bounds=((-2.0, 2.0),) * 3, population_size=5, max_iterations=8, seed=42)
+
+    @pytest.mark.parametrize(
+        "search, best, history",
+        [
+            (
+                optimize,
+                0.1622732424934139,
+                (1.9442682592676657, 1.9442682592676657, 0.6443332509513314,
+                 0.4192705102773044, 0.2548791891622121, 0.24680815656611035,
+                 0.18465336631992604, 0.18464034069610763, 0.1622732424934139),
+            ),
+            (
+                classical_csa,
+                0.19055418549673925,
+                (1.9442682592676657, 1.4895032347671822, 0.8093969246386166,
+                 0.8093969246386166, 0.8093969246386166, 0.7337901807522357,
+                 0.22774047891975202, 0.22774047891975202, 0.19055418549673925),
+            ),
+            (
+                random_search,
+                0.5816906045624562,
+                (1.9442682592676657, 1.9442682592676657, 1.7435522543191473,
+                 1.7435522543191473) + (0.5816906045624562,) * 5,
+            ),
+        ],
+    )
+    def test_sphere(self, search, best, history):
+        result = search(sphere, EcsaConfig(**self.CONFIG))
+        assert result.best_fitness == best
+        assert result.fitness_history == history
+
+    def test_stochastic_binary(self):
+        config = EcsaConfig(
+            bounds=((-4.0, 4.0),) * 6, population_size=5, max_iterations=8, seed=7,
+            mode="binary", stochastic_threshold=True,
+        )
+        weights = np.array([1.0, -2.0, 3.0, -0.5, 2.0, -1.0])
+        result = optimize(lambda bits: bits @ weights + 5.0, config)
+        assert result.best_fitness == 1.4000000000000001
+        assert result.fitness_history == (2.283333333333333,) * 4 + (1.4000000000000001,) * 5
+        assert result.metadata["best_bits"] == [0, 0, 0, 1, 1, 0]

@@ -1,19 +1,31 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from riskfuse import dematel
-from riskfuse.anfis import init_fis, parameter_vector, rmse
+from riskfuse.anfis import (
+    AnfisModel,
+    apply_parameter_scaling,
+    fit_consequents_least_squares,
+    init_fis,
+    parameter_vector,
+    rmse,
+    scaling_objective,
+)
 from riskfuse.config import PipelineConfig
-from riskfuse.dataset import bundled_path
-from riskfuse.errors import DataError, PipelineError
+from riskfuse.dataset import FeatureMapping, bundled_path
+from riskfuse.ecsa import EcsaConfig, ObjectiveError, optimize
+from riskfuse.errors import DataError, NumericalError, PipelineError
 from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue, TriangularFuzzyNumber
 from riskfuse.pipeline import (
+    EXACT_FIT_RTOL,
     RiskReport,
     aggregate_risk,
     cv_folds,
     potential_scores,
+    prepare_samples,
     run_pipeline,
     split_train_test,
     tune_anfis_with_ecsa,
@@ -142,6 +154,59 @@ class TestTuning:
         b = tune_anfis_with_ecsa(train, test, quick_config)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert a.test_rmse == b.test_rmse
+
+
+def _fold0(nasa_records, catalog, mode):
+    """Training rows and base model of fold 0 of the seed-11 protocol."""
+    config = PipelineConfig(anfis_inputs=mode, seed=11)
+    mapping = FeatureMapping.fit(nasa_records, config.ordinal_values, config.missing_value)
+    samples, _, _ = prepare_samples(nasa_records, catalog, mapping, mode)
+    split_seed, cv_seed = np.random.SeedSequence(config.seed).generate_state(4)[:2]
+    train, _ = split_train_test(samples, config.split_fraction, int(split_seed))
+    fold, _ = cv_folds(train, config.cv_folds, int(cv_seed))[0]
+    base = fit_consequents_least_squares(init_fis(fold, config.cluster_radius), fold)
+    return config, fold, base
+
+
+class TestSearchObjective:
+    """The tuning objective against the model-building reference path."""
+
+    @pytest.mark.parametrize("mode, shape", [("groups", (3, 6)), ("codes", (43, 13))])
+    def test_matches_scale_refit_rmse_bit_for_bit(self, nasa_records, catalog, mode, shape):
+        config, fold, base = _fold0(nasa_records, catalog, mode)
+        assert (base.n_rules, base.input_dim) == shape
+        floor = EXACT_FIT_RTOL * math.sqrt(np.mean([target**2 for _, target in fold]))
+        objective = scaling_objective(base, fold, floor=floor)
+
+        def reference(coefficients):
+            scaled = apply_parameter_scaling(base, coefficients)
+            err = rmse(fit_consequents_least_squares(scaled, fold), fold)
+            return err if err > floor else 0.0, scaled.diagnostics
+
+        rng = np.random.default_rng(3)
+        # The default box, then the signed one, whose negative width and
+        # shape coefficients hit the MIN_SHAPE_PARAM clamp.
+        for lo, hi in (config.coefficient_bounds(), (-10.0, 10.0)):
+            batch = rng.uniform(lo, hi, size=(4, base.n_parameters))
+            batch[0] = 1.0
+            expected, diagnostics = zip(*(reference(row) for row in batch))
+            assert objective(batch).tobytes() == np.array(expected).tobytes()
+        assert any(d.startswith("clamped") for d in diagnostics[1])
+
+    def test_underflowing_candidate_is_numerical_objective_error(self):
+        # One rule centred at 0; the candidate clamps its width to 1e-6 and
+        # raises its shape exponent to 300, so every membership underflows.
+        base = AnfisModel(
+            premises=[[[0.0, 1.0, 1.0]]],
+            consequents=[[1.0, 0.0]],
+            input_normalization=[[0.0, 1.0]],
+        )
+        train = [(np.array([u]), 2.0 * u) for u in np.linspace(0.5, 1.0, 6)]
+        config = EcsaConfig(bounds=((-1.0, 300.0),) * base.n_parameters, seed=1)
+        candidate = np.array([1.0, 0.0, 300.0, 1.0, 1.0])
+        with pytest.raises(ObjectiveError, match="iteration 0") as info:
+            optimize(scaling_objective(base, train), config, initial_guesses=[candidate])
+        assert isinstance(info.value.__cause__, NumericalError)
 
 
 class TestScoresAndAggregate:
