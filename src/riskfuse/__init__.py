@@ -40,7 +40,6 @@ from .ecsa import (
     CrowPopulation,
     EcsaConfig,
     OptimizationResult,
-    binarize,
     dynamic_awareness_probability,
     fitness,
     global_update,
@@ -75,6 +74,7 @@ from .topsis import (
     closeness,
     ideal_solutions,
     rank_alternatives,
+    rank_weighted,
     separation_measures,
     weighted_if_matrix,
 )

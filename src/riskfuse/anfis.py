@@ -109,13 +109,9 @@ def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _rule_outputs(consequents: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return x @ consequents[:, :-1].T + consequents[:, -1]
-
-
-def rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Per-rule consequent outputs q . x + s: shape (n_samples, n_rules)
     for rows of x, or (n_rules,) for one input vector."""
-    return _rule_outputs(model.consequents, np.asarray(x, dtype=float))
+    return x @ consequents[:, :-1].T + consequents[:, -1]
 
 
 def _weighted_output(wbar: np.ndarray, x: np.ndarray, consequents: np.ndarray) -> np.ndarray:

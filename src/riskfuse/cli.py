@@ -32,14 +32,7 @@ from .errors import DataError, NumericalError, RiskfuseError
 from .fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue, TriangularFuzzyNumber
 from .pipeline import cross_validate, prepare_samples, run_pipeline
 from .reporting import emit_report
-from .topsis import (
-    CriterionKind,
-    IfDecisionMatrix,
-    closeness,
-    ideal_solutions,
-    rank_alternatives,
-    separation_measures,
-)
+from .topsis import CriterionKind, IfDecisionMatrix, rank_weighted
 
 
 class _UsageError(Exception):
@@ -155,19 +148,22 @@ def _cmd_rank(args) -> int:
         raise DataError(f"matrix file not readable: {path}")
     try:
         payload = json.loads(path.read_text())
-        cells = payload["cells"]
         kinds = tuple(CriterionKind(k) for k in payload["criteria_kinds"])
-        rows = tuple(
-            tuple(IntuitionisticFuzzyValue(*cell) for cell in row) for row in cells
-        )
+        rows = [[IntuitionisticFuzzyValue(*cell) for cell in row] for row in payload["cells"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed weighted IF matrix ({exc})") from exc
     matrix = IfDecisionMatrix(rows=rows, criteria_kinds=kinds)
-    ideals = ideal_solutions(matrix)
-    v_pos, v_neg = separation_measures(matrix, ideals)
-    xi = closeness(v_pos, v_neg)
-    ranking = rank_alternatives(xi)
     names = payload.get("names") or [f"A{i}" for i in range(matrix.n_alternatives)]
+    if not (
+        isinstance(names, list)
+        and len(names) == matrix.n_alternatives
+        and all(isinstance(name, str) for name in names)
+    ):
+        raise DataError(
+            f"{path}: names must be a list of {matrix.n_alternatives} strings, "
+            "one per alternative"
+        )
+    xi, ranking = rank_weighted(matrix)
     print("xi =", _format_vector(xi))
     print("ranking:", " > ".join(names[i] for i in ranking))
     return 0

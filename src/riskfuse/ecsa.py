@@ -11,10 +11,9 @@ global move is the salp-swarm leader update around the best solution
 drawn per dimension and a step c1 c2 (ub - lb) whose C1 schedule
 decays across the run.
 
-Minimizes a nonnegative objective over a box.  A binary mode maps the
-continuous positions through a sigmoid for subset-selection problems.
-The classical crow search and a plain random search are included as
-internal baselines for benchmarking only.
+Minimizes a nonnegative objective over a box.  The classical crow
+search and a plain random search are included as internal baselines for
+benchmarking only.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ class EcsaConfig:
     ap_max: float = 0.8
     beta: float = 0.9
     seed: int = 0
-    mode: str = "continuous"
-    binary_threshold: float = 0.5
-    stochastic_threshold: bool = False
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -70,10 +66,6 @@ class EcsaConfig:
             )
         if not (0.0 <= self.beta <= 1.0):
             raise DataError(f"beta must be in [0, 1], got {self.beta}")
-        if self.mode not in ("continuous", "binary"):
-            raise DataError(f"mode must be 'continuous' or 'binary', got {self.mode!r}")
-        if not (0.0 <= self.binary_threshold <= 1.0):
-            raise DataError(f"binary_threshold must be in [0, 1], got {self.binary_threshold}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         if not bounds:
@@ -110,7 +102,6 @@ class CrowPopulation:
     ranks: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    itr: int = 0
     neighborhoods: list[np.ndarray] = field(default_factory=list)
 
 
@@ -236,32 +227,14 @@ def global_update(
     return _clamp(moved, lower, upper)
 
 
-def binarize(
-    position: np.ndarray,
-    threshold: float = 0.5,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Map a continuous position to bits: 1 where sigmoid(u) >= threshold.
+def fitness(err: float, beta: float) -> float:
+    """Weighted fitness beta * err + (1 - beta).
 
-    Passing an rng draws a fresh uniform threshold per element instead of
-    using the fixed one.
+    The second term of the reference fitness weights a selected-subset
+    fraction; a search over a continuous box selects no subset, so the
+    term is the constant (1 - beta).
     """
-    position = np.asarray(position, dtype=float)
-    sig = 1.0 / (1.0 + np.exp(-position))
-    thresholds = rng.random(position.shape) if rng is not None else threshold
-    return (sig >= thresholds).astype(int)
-
-
-def fitness(err: float, beta: float, subset_fraction: float | None = None) -> float:
-    """Weighted fitness: beta * err plus the (1 - beta) term.
-
-    Continuous searches have no subset, so the second term is the
-    constant (1 - beta); binary searches weight the selected-subset
-    fraction instead.
-    """
-    if subset_fraction is None:
-        return beta * err + (1.0 - beta)
-    return beta * err + (1.0 - beta) * subset_fraction
+    return beta * err + (1.0 - beta)
 
 
 def _ranks_from_fitness(fitnesses: np.ndarray) -> np.ndarray:
@@ -277,34 +250,19 @@ class ObjectiveError(RiskfuseError):
 
 
 def _evaluate(
-    objective: Objective,
-    positions: np.ndarray,
-    config: EcsaConfig,
-    rng: np.random.Generator,
-    itr: int,
+    objective: Objective, positions: np.ndarray, config: EcsaConfig, itr: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fitnesses and raw objective values of a (crows, dim) population.
 
-    The objective is called once with all rows (bits in binary mode) and
-    returns one value per row; a scalar result counts for every row.  A
-    stochastic threshold draws one (crows, dim) block, the same stream as
-    one draw per crow in crow order.
+    The objective is called once with all rows and returns one value per
+    row; a scalar result counts for every row.
     """
-    if config.mode == "binary":
-        solutions = binarize(
-            positions,
-            config.binary_threshold,
-            rng=rng if config.stochastic_threshold else None,
-        )
-        subset_fractions = solutions.mean(axis=1)
-    else:
-        solutions, subset_fractions = positions, None
     errs = np.empty(len(positions))
     try:
-        errs[:] = objective(solutions)
+        errs[:] = objective(positions)
     except Exception as exc:
         raise ObjectiveError(f"objective failed at iteration {itr}: {exc}") from exc
-    return fitness(errs, config.beta, subset_fractions), errs
+    return fitness(errs, config.beta), errs
 
 
 def _remember(
@@ -333,8 +291,8 @@ def optimize(
 
     Args:
         objective: called once per iteration with the (crows, dim)
-            positions (bits in binary mode); returns one value per row,
-            or one scalar for every row.
+            positions; returns one value per row, or one scalar for
+            every row.
         initial_guesses: optional warm-start positions replacing the
             first crows' random spots (clamped to the bounds).
     """
@@ -352,13 +310,12 @@ def optimize(
         pop.positions[j] = guess
         pop.memories[j] = guess.copy()
 
-    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, rng, 0)
+    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, 0)
     pop.memory_fitnesses = pop.fitnesses.copy()
     pop.ranks = _ranks_from_fitness(pop.fitnesses)
     history = [float(pop.memory_fitnesses.min())]
 
     for itr in range(1, config.max_iterations + 1):
-        pop.itr = itr
         reshuffle_neighborhoods(pop, rng)
         best = pop.memories[int(np.argmin(pop.memory_fitnesses))]
 
@@ -376,7 +333,7 @@ def optimize(
                 )
 
         pop.positions = new_positions
-        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, rng, itr))
+        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, itr))
         pop.ranks = _ranks_from_fitness(pop.fitnesses)
         history.append(float(pop.memory_fitnesses.min()))
 
@@ -385,13 +342,8 @@ def optimize(
         "seed": config.seed,
         "iterations_executed": config.max_iterations,
         "evaluations": config.evaluation_budget,
-        "mode": config.mode,
         "best_objective": float(memory_errs[best_idx]),
     }
-    if config.mode == "binary":
-        metadata["best_bits"] = binarize(
-            pop.memories[best_idx], config.binary_threshold
-        ).tolist()
     return OptimizationResult(
         best_position=pop.memories[best_idx].copy(),
         best_fitness=float(pop.memory_fitnesses[best_idx]),
@@ -412,7 +364,7 @@ def classical_csa(objective: Objective, config: EcsaConfig) -> OptimizationResul
     n = config.population_size
     lower, upper = config.lower, config.upper
 
-    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, rng, 0)
+    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, 0)
     pop.memory_fitnesses = pop.fitnesses.copy()
     history = [float(pop.memory_fitnesses.min())]
 
@@ -427,7 +379,7 @@ def classical_csa(objective: Objective, config: EcsaConfig) -> OptimizationResul
                 moved = lower + rng.random(config.dim) * (upper - lower)
             new_positions[j] = np.clip(moved, lower, upper)
         pop.positions = new_positions
-        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, rng, itr))
+        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, itr))
         history.append(float(pop.memory_fitnesses.min()))
 
     best_idx = int(np.argmin(pop.memory_fitnesses))
@@ -439,7 +391,6 @@ def classical_csa(objective: Objective, config: EcsaConfig) -> OptimizationResul
             "seed": config.seed,
             "iterations_executed": config.max_iterations,
             "evaluations": config.evaluation_budget,
-            "mode": config.mode,
             "best_objective": float(memory_errs[best_idx]),
             "algorithm": "classical-csa",
         },
@@ -457,7 +408,7 @@ def random_search(objective: Objective, config: EcsaConfig) -> OptimizationResul
     history = []
     for block in range(config.max_iterations + 1):
         positions = lower + rng.random((config.population_size, config.dim)) * (upper - lower)
-        fits, errs = _evaluate(objective, positions, config, rng, block)
+        fits, errs = _evaluate(objective, positions, config, block)
         # First best row, as a crow-by-crow scan would pick it (NaN never wins).
         j = int(np.argmin(np.where(np.isnan(fits), np.inf, fits)))
         if fits[j] < best_fit:
@@ -471,7 +422,6 @@ def random_search(objective: Objective, config: EcsaConfig) -> OptimizationResul
             "seed": config.seed,
             "iterations_executed": config.max_iterations,
             "evaluations": config.evaluation_budget,
-            "mode": config.mode,
             "best_objective": float(best_err),
             "algorithm": "random-search",
         },

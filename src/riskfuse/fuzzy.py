@@ -9,8 +9,12 @@ with the product operator needed for weighted decision matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DataError
 
@@ -141,46 +145,75 @@ def cfcs_defuzzify(judgments: Sequence[TriangularFuzzyNumber]) -> float:
     return crisp_sum / len(judgments)
 
 
-@dataclass(frozen=True)
-class IntuitionisticFuzzyValue:
+def check_ifv(cells: ArrayLike) -> np.ndarray:
+    """Validate intuitionistic fuzzy cells (..., 3) = (mu, nu, pi).
+
+    The one check of the IF invariants, within ``IFV_TOL``: every
+    component in [0, 1], mu + nu <= 1 and pi = 1 - mu - nu.  Returns the
+    cells as a float array.
+    """
+    try:
+        cells = np.asarray(cells, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"IF cells must be numeric (mu, nu, pi) triples ({exc})") from None
+    if cells.shape[-1:] != (3,):
+        raise DataError(f"IF cells need a last axis of (mu, nu, pi), got shape {cells.shape}")
+    mu, nu, pi = cells[..., 0], cells[..., 1], cells[..., 2]
+    in_range = ((cells >= -IFV_TOL) & (cells <= 1.0 + IFV_TOL)).all(axis=-1)
+    faults = (
+        (~in_range, "a component outside [0, 1]"),
+        (mu + nu > 1.0 + IFV_TOL, "mu + nu > 1"),
+        (np.abs(pi - (1.0 - mu - nu)) > IFV_TOL, "pi inconsistent with 1 - mu - nu"),
+    )
+    for bad, what in faults:
+        if bad.any():
+            where = tuple(int(i) for i in np.argwhere(bad)[0])
+            at = f" at {where}" if where else ""
+            cell = tuple(cells[where].tolist())
+            raise DataError(f"IF cell (mu, nu, pi) = {cell}{at} has {what}")
+    return cells
+
+
+def lift_crisp(values: ArrayLike) -> np.ndarray:
+    """Lift crisp scores in [0, 1] to IF cells (v, 1 - v, 0): one more
+    axis of length 3."""
+    values = np.asarray(values, dtype=float)
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        raise DataError(
+            f"crisp value {values[outside].flat[0]} outside [0, 1] cannot be lifted"
+        )
+    return np.stack([values, 1.0 - values, np.zeros_like(values)], axis=-1)
+
+
+class IntuitionisticFuzzyValue(namedtuple("IntuitionisticFuzzyValue", "mu nu pi")):
     """Intuitionistic fuzzy value (mu, nu, pi) with pi = 1 - mu - nu.
 
-    ``pi`` may be omitted at construction; it is then derived from mu and
-    nu.  All invariants are enforced within a 1e-9 tolerance.
+    A validated triple: ``pi`` may be omitted and is then derived from mu
+    and nu, and ``check_ifv`` enforces the invariants.  Being a tuple,
+    nested sequences of values convert with ``np.asarray(..., float)``.
     """
 
-    mu: float
-    nu: float
-    pi: float = field(default=None)  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pi is None:
-            object.__setattr__(self, "pi", 1.0 - self.mu - self.nu)
-        for name, value in (("mu", self.mu), ("nu", self.nu), ("pi", self.pi)):
-            if not (-IFV_TOL <= value <= 1.0 + IFV_TOL):
-                raise DataError(f"IFV component {name}={value} outside [0, 1]")
-        if self.mu + self.nu > 1.0 + IFV_TOL:
-            raise DataError(f"IFV requires mu + nu <= 1, got {self.mu} + {self.nu}")
-        if abs(self.pi - (1.0 - self.mu - self.nu)) > IFV_TOL:
-            raise DataError(
-                f"IFV hesitation pi={self.pi} inconsistent with 1 - mu - nu"
-            )
+    def __new__(cls, mu: float, nu: float, pi: float | None = None):
+        if pi is None:
+            pi = 1.0 - mu - nu
+        return super().__new__(cls, *check_ifv((mu, nu, pi)).tolist())
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.mu, self.nu, self.pi)
+    @classmethod
+    def _make(cls, iterable) -> "IntuitionisticFuzzyValue":
+        # namedtuple's _make (and so _replace) skips __new__; validate here too.
+        return cls(*iterable)
 
     @classmethod
     def from_crisp(cls, value: float) -> "IntuitionisticFuzzyValue":
         """Lift a crisp score in [0, 1] to the IFV (value, 1 - value, 0)."""
-        if not (0.0 <= value <= 1.0):
-            raise DataError(f"crisp value {value} outside [0, 1] cannot be lifted")
-        return cls(value, 1.0 - value, 0.0)
+        return cls(*lift_crisp(value).tolist())
 
 
-def ifv_multiply(
-    a: IntuitionisticFuzzyValue, w: IntuitionisticFuzzyValue
-) -> IntuitionisticFuzzyValue:
-    """Standard intuitionistic fuzzy product.
+def ifv_multiply(a: ArrayLike, w: ArrayLike) -> np.ndarray:
+    """Standard intuitionistic fuzzy product of (..., 3) cells, broadcast.
 
     Membership multiplies, non-membership combines as a probabilistic sum,
     and hesitation is recomputed so the invariants hold:
@@ -189,6 +222,7 @@ def ifv_multiply(
         nu = a.nu + w.nu - a.nu * w.nu
         pi = 1 - mu - nu
     """
-    mu = a.mu * w.mu
-    nu = a.nu + w.nu - a.nu * w.nu
-    return IntuitionisticFuzzyValue(mu, nu, 1.0 - mu - nu)
+    a, w = np.asarray(a, dtype=float), np.asarray(w, dtype=float)
+    mu = a[..., 0] * w[..., 0]
+    nu = a[..., 1] + w[..., 1] - a[..., 1] * w[..., 1]
+    return np.stack([mu, nu, 1.0 - mu - nu], axis=-1)

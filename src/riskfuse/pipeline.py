@@ -27,7 +27,7 @@ from .dataset import (
 )
 from .ecsa import EcsaConfig, optimize
 from .errors import DataError, PipelineError, RiskfuseError
-from .fuzzy import IntuitionisticFuzzyValue
+from .fuzzy import lift_crisp
 from .topsis import IfDecisionMatrix, lift_crisp_weights
 
 P_OUT_TOL = 1e-9
@@ -333,10 +333,6 @@ def prepare_samples(
     return samples, features, owners
 
 
-def _ifv_cells(rows) -> list[list[list[float]]]:
-    return [[list(cell.as_tuple()) for cell in row] for row in rows]
-
-
 def run_pipeline(
     records: list[ProjectRecord],
     respondent_matrices: list,
@@ -414,15 +410,9 @@ def run_pipeline(
             evidence = dematel_result.t / dematel_result.t.max()
         else:
             evidence = np.ones((n, n))
-        clipped = np.clip(f, 0.0, 1.0)
-        raw_rows = tuple(
-            tuple(
-                IntuitionisticFuzzyValue.from_crisp(float(clipped[i] * evidence[i, j]))
-                for j in range(n)
-            )
-            for i in range(n)
+        raw_matrix = IfDecisionMatrix(
+            rows=lift_crisp(np.clip(f, 0.0, 1.0)[:, None] * evidence), criteria_kinds=kinds
         )
-        raw_matrix = IfDecisionMatrix(rows=raw_rows, criteria_kinds=kinds)
         if n == 1:
             # A single factor coincides with its own ideal; closeness is
             # degenerate, the ranking is trivial.
@@ -451,8 +441,8 @@ def run_pipeline(
         "total_relation": dematel_result.t.tolist() if dematel_result else [[0.0]],
         "prominence": dematel_result.prominence.tolist() if dematel_result else [0.0],
         "relation": dematel_result.relation.tolist() if dematel_result else [0.0],
-        "raw_if_matrix": _ifv_cells(raw_matrix.rows),
-        "weighted_if_matrix": _ifv_cells(weighted_matrix.rows),
+        "raw_if_matrix": raw_matrix.rows.tolist(),
+        "weighted_if_matrix": weighted_matrix.rows.tolist(),
         "criteria_kinds": [k.value for k in kinds],
         "factor_probes": [p.tolist() for p in probes],
         "model": anfis.model_to_dict(model),

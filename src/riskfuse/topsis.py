@@ -12,9 +12,10 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DataError, NumericalError
-from .fuzzy import IntuitionisticFuzzyValue, ifv_multiply
+from .fuzzy import check_ifv, ifv_multiply, lift_crisp
 
 
 class CriterionKind(Enum):
@@ -24,105 +25,102 @@ class CriterionKind(Enum):
 
 @dataclass(frozen=True)
 class IfDecisionMatrix:
-    """Alternatives-by-criteria grid of intuitionistic fuzzy values."""
+    """Alternatives-by-criteria grid of intuitionistic fuzzy cells.
 
-    rows: tuple[tuple[IntuitionisticFuzzyValue, ...], ...]
+    ``rows`` may be any nested sequence of (mu, nu, pi) triples, such as
+    tuples of ``IntuitionisticFuzzyValue``; it is stored as one read-only
+    float array of shape (alternatives, criteria, 3), validated once.
+    """
+
+    rows: np.ndarray
     criteria_kinds: tuple[CriterionKind, ...]
 
     def __post_init__(self):
-        if not self.rows:
-            raise DataError("decision matrix needs at least one alternative")
-        width = len(self.rows[0])
-        if any(len(row) != width for row in self.rows):
-            raise DataError("decision matrix rows must all have the same length")
-        if len(self.criteria_kinds) != width:
+        rows = check_ifv(self.rows).copy()
+        if rows.ndim != 3 or 0 in rows.shape:
             raise DataError(
-                f"{len(self.criteria_kinds)} criterion kinds for {width} criteria"
+                "decision matrix needs shape (alternatives, criteria, 3) with at "
+                f"least one alternative and one criterion, got {rows.shape}"
+            )
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        if len(self.criteria_kinds) != rows.shape[1]:
+            raise DataError(
+                f"{len(self.criteria_kinds)} criterion kinds for {rows.shape[1]} criteria"
             )
 
     @property
     def n_alternatives(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     @property
     def n_criteria(self) -> int:
-        return len(self.rows[0])
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
 class IdealSolutions:
-    """Per-criterion positive and negative ideal IFVs."""
+    """Per-criterion positive and negative ideal IF cells, (criteria, 3) each."""
 
-    positive: tuple[IntuitionisticFuzzyValue, ...]
-    negative: tuple[IntuitionisticFuzzyValue, ...]
+    positive: np.ndarray
+    negative: np.ndarray
 
 
-def lift_crisp_weights(weights: Sequence[float]) -> tuple[IntuitionisticFuzzyValue, ...]:
-    """Lift crisp weights in [0, 1] to IFVs (w, 1-w, 0).
+def lift_crisp_weights(weights: Sequence[float]) -> np.ndarray:
+    """Lift crisp weights in [0, 1] to IF weights (w, 1-w, 0), shape
+    (criteria, 3).
 
     Used when no expert intuitionistic weights are supplied.
     """
-    return tuple(IntuitionisticFuzzyValue.from_crisp(float(w)) for w in weights)
+    return lift_crisp(weights)
 
 
-def weighted_if_matrix(
-    raw: IfDecisionMatrix, weights: Sequence[IntuitionisticFuzzyValue]
-) -> IfDecisionMatrix:
-    """Multiply every cell by its criterion's intuitionistic weight."""
-    if len(weights) != raw.n_criteria:
+def weighted_if_matrix(raw: IfDecisionMatrix, weights: ArrayLike) -> IfDecisionMatrix:
+    """Multiply every cell by its criterion's intuitionistic weight; the
+    (criteria, 3) weights broadcast over the alternatives."""
+    weights = check_ifv(weights)
+    if weights.shape != (raw.n_criteria, 3):
         raise DataError(
-            f"{len(weights)} weights supplied for {raw.n_criteria} criteria"
+            f"weights of shape {weights.shape} supplied for {raw.n_criteria} criteria"
         )
-    rows = tuple(
-        tuple(ifv_multiply(cell, weights[j]) for j, cell in enumerate(row))
-        for row in raw.rows
+    return IfDecisionMatrix(
+        rows=ifv_multiply(raw.rows, weights), criteria_kinds=raw.criteria_kinds
     )
-    return IfDecisionMatrix(rows=rows, criteria_kinds=raw.criteria_kinds)
 
 
 def ideal_solutions(m: IfDecisionMatrix) -> IdealSolutions:
-    """Extract per-criterion ideal IFVs.
+    """Extract per-criterion ideal IF cells.
 
     Benefit criteria: positive ideal takes (max mu, min nu) across the
     alternatives and the negative ideal (min mu, max nu); the roles swap
     for cost criteria.  Hesitation is recomputed as 1 - mu - nu.
     """
-    positive = []
-    negative = []
-    for j, kind in enumerate(m.criteria_kinds):
-        mus = [row[j].mu for row in m.rows]
-        nus = [row[j].nu for row in m.rows]
-        best = IntuitionisticFuzzyValue(max(mus), min(nus))
-        worst = IntuitionisticFuzzyValue(min(mus), max(nus))
-        if kind is CriterionKind.BENEFIT:
-            positive.append(best)
-            negative.append(worst)
-        else:
-            positive.append(worst)
-            negative.append(best)
-    return IdealSolutions(positive=tuple(positive), negative=tuple(negative))
-
-
-def _distance(row, ideals) -> float:
-    total = 0.0
-    for cell, ideal in zip(row, ideals):
-        total += (
-            (cell.mu - ideal.mu) ** 2
-            + (cell.nu - ideal.nu) ** 2
-            + (cell.pi - ideal.pi) ** 2
-        )
-    return float(np.sqrt(total / (2.0 * len(row))))
+    mu, nu = m.rows[:, :, 0], m.rows[:, :, 1]
+    best_mu, best_nu = mu.max(axis=0), nu.min(axis=0)
+    worst_mu, worst_nu = mu.min(axis=0), nu.max(axis=0)
+    best = np.stack([best_mu, best_nu, 1.0 - best_mu - best_nu], axis=-1)
+    worst = np.stack([worst_mu, worst_nu, 1.0 - worst_mu - worst_nu], axis=-1)
+    benefit = np.array([kind is CriterionKind.BENEFIT for kind in m.criteria_kinds])
+    return IdealSolutions(
+        positive=np.where(benefit[:, None], best, worst),
+        negative=np.where(benefit[:, None], worst, best),
+    )
 
 
 def separation_measures(
     m: IfDecisionMatrix, ideals: IdealSolutions
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized Euclidean distances of every alternative to the
-    positive and negative ideals."""
-    if len(ideals.positive) != m.n_criteria:
+    positive and negative ideals.
+
+    Each cell's three squares are summed first, then the criteria in
+    order, as the per-alternative loop of the definition does.
+    """
+    positive, negative = (np.asarray(v, dtype=float) for v in (ideals.positive, ideals.negative))
+    if positive.shape != (m.n_criteria, 3) or negative.shape != positive.shape:
         raise DataError("ideal solutions do not match the matrix criteria count")
-    v_pos = np.array([_distance(row, ideals.positive) for row in m.rows])
-    v_neg = np.array([_distance(row, ideals.negative) for row in m.rows])
+    squares = (m.rows - np.stack([positive, negative])[:, None]) ** 2
+    v_pos, v_neg = np.sqrt(squares.sum(axis=3).sum(axis=2) / (2.0 * m.n_criteria))
     return v_pos, v_neg
 
 
@@ -159,16 +157,21 @@ def tied_groups(xi: np.ndarray) -> list[list[int]]:
     return [members for members in groups.values() if len(members) > 1]
 
 
+def rank_weighted(weighted: IfDecisionMatrix) -> tuple[np.ndarray, list[int]]:
+    """Ideals, separations, closeness and ranking of an already-weighted
+    matrix: the closeness coefficients and the ranked alternative indices."""
+    v_pos, v_neg = separation_measures(weighted, ideal_solutions(weighted))
+    xi = closeness(v_pos, v_neg)
+    return xi, rank_alternatives(xi)
+
+
 def evaluate(
-    raw: IfDecisionMatrix, weights: Sequence[IntuitionisticFuzzyValue]
+    raw: IfDecisionMatrix, weights: ArrayLike
 ) -> tuple[IfDecisionMatrix, np.ndarray, list[int]]:
-    """Full chain: weighting, ideals, separations, closeness, ranking.
+    """Full chain: weighting, then ``rank_weighted``.
 
     Returns the weighted matrix, the closeness coefficients, and the
     ranked alternative indices.
     """
     weighted = weighted_if_matrix(raw, weights)
-    ideals = ideal_solutions(weighted)
-    v_pos, v_neg = separation_measures(weighted, ideals)
-    xi = closeness(v_pos, v_neg)
-    return weighted, xi, rank_alternatives(xi)
+    return (weighted, *rank_weighted(weighted))

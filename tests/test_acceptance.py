@@ -20,7 +20,6 @@ from riskfuse.anfis import (
     forward,
     init_fis,
     rmse,
-    rule_outputs,
 )
 from riskfuse.cli import cli_main
 from riskfuse.config import PipelineConfig
@@ -149,7 +148,7 @@ def _random_model(rng):
 
 
 def test_acceptance_04_anfis_structural_invariants():
-    from riskfuse.anfis import _normalized_strengths
+    from riskfuse.anfis import _normalized_strengths, _rule_outputs
 
     rng = np.random.default_rng(104)
     for _ in range(1000):
@@ -158,7 +157,7 @@ def test_acceptance_04_anfis_structural_invariants():
         wbar = _normalized_strengths(model.premises, x[None, :])[0]
         assert abs(wbar.sum() - 1.0) < 1e-9
         assert np.all(wbar >= 0.0)
-        outputs = rule_outputs(model, x)
+        outputs = _rule_outputs(model.consequents, x)
         value = forward(model, x)
         assert outputs.min() - 1e-9 <= value <= outputs.max() + 1e-9
     report_line(4, "ANFIS structural invariants", True, "1000 random models")

@@ -4,6 +4,7 @@ import pytest
 from riskfuse.anfis import (
     AnfisModel,
     _membership_matrix,
+    _rule_outputs,
     apply_parameter_scaling,
     bell_membership,
     fit_consequents_least_squares,
@@ -16,7 +17,6 @@ from riskfuse.anfis import (
     model_to_dict,
     parameter_vector,
     rmse,
-    rule_outputs,
     save_model,
     subtractive_clustering,
 )
@@ -103,7 +103,7 @@ class TestForward:
         for _ in range(100):
             model = random_model(rng)
             x = rng.uniform(-1, 2, size=model.input_dim)
-            outputs = rule_outputs(model, x)
+            outputs = _rule_outputs(model.consequents, x)
             value = forward(model, x)
             assert outputs.min() - 1e-9 <= value <= outputs.max() + 1e-9
 

@@ -59,6 +59,23 @@ class TestRankCommand:
         assert code == 0
         assert "good > bad" in out
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"cells": [[]], "criteria_kinds": []},
+            {"cells": [[[0.8, 0.1]], [[0.2, 0.7]]], "criteria_kinds": ["benefit"],
+             "names": ["only-one"]},
+            {"cells": [[[0.8, 0.1]], [[0.2, 0.7]]], "criteria_kinds": ["benefit"],
+             "names": [1, 2]},
+        ],
+        ids=["no-criteria", "short-names", "non-string-names"],
+    )
+    def test_malformed_matrix_is_data_error(self, matrix, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix))
+        assert cli_main(["rank", "--matrix", str(path)]) == 2
+        assert "data error:" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

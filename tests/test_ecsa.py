@@ -7,7 +7,6 @@ from riskfuse.ecsa import (
     CrowPopulation,
     EcsaConfig,
     ObjectiveError,
-    binarize,
     classical_csa,
     decay_coefficient,
     dynamic_awareness_probability,
@@ -70,8 +69,6 @@ class TestConfig:
             unit_config(beta=1.5)
         with pytest.raises(DataError):
             unit_config(bounds=((1.0, 0.0),))
-        with pytest.raises(DataError):
-            unit_config(mode="ternary")
 
     def test_budget(self):
         config = unit_config(population_size=10, max_iterations=100)
@@ -202,32 +199,12 @@ class TestGlobalUpdate:
             assert np.all(moved >= lower) and np.all(moved <= upper)
 
 
-class TestBinarize:
-    def test_sigmoid_midpoint(self):
-        assert binarize(np.array([0.0]), 0.5).tolist() == [1]
-
-    def test_large_positive_always_one(self):
-        assert binarize(np.array([1e6]), 1.0).tolist() == [1]
-
-    def test_mixed_vector(self):
-        assert binarize(np.array([-10.0, 10.0]), 0.5).tolist() == [0, 1]
-
-    def test_stochastic_thresholds_use_rng(self, rng):
-        bits = binarize(np.zeros(1000), rng=rng)
-        # S(0) = 0.5, random thresholds uniform: about half the bits set.
-        assert 380 < bits.sum() < 620
-
-
 class TestFitness:
     def test_continuous_constant_term(self):
         assert fitness(0.0, 0.9) == pytest.approx(0.1)
 
-    def test_binary_subset_term(self):
-        assert fitness(0.2, 0.9, subset_fraction=0.5) == pytest.approx(0.23)
-
     def test_beta_one_is_pure_error(self):
         assert fitness(0.37, 1.0) == pytest.approx(0.37)
-        assert fitness(0.37, 1.0, subset_fraction=0.9) == pytest.approx(0.37)
 
 
 class TestOptimize:
@@ -321,17 +298,6 @@ class TestOptimize:
         with pytest.raises(ObjectiveError, match="iteration 0"):
             optimize(lambda x: np.zeros(len(x) + 1), config)
 
-    def test_binary_mode(self):
-        config = unit_config(dim=4, mode="binary", seed=13, bounds=((-4.0, 4.0),) * 4)
-
-        def count_on(bits):
-            assert bits.shape == (config.population_size, config.dim)
-            return bits.sum(axis=1).astype(float)  # minimized by the all-zero subset
-
-        result = optimize(count_on, config)
-        assert result.metadata["best_bits"] == [0, 0, 0, 0]
-        assert result.best_fitness == pytest.approx(fitness(0.0, config.beta, 0.0))
-
 
 class TestNeighborhoods:
     def test_ring_members_and_reshuffle(self, rng):
@@ -409,14 +375,3 @@ class TestStreamPins:
         result = search(sphere, EcsaConfig(**self.CONFIG))
         assert result.best_fitness == best
         assert result.fitness_history == history
-
-    def test_stochastic_binary(self):
-        config = EcsaConfig(
-            bounds=((-4.0, 4.0),) * 6, population_size=5, max_iterations=8, seed=7,
-            mode="binary", stochastic_threshold=True,
-        )
-        weights = np.array([1.0, -2.0, 3.0, -0.5, 2.0, -1.0])
-        result = optimize(lambda bits: bits @ weights + 5.0, config)
-        assert result.best_fitness == 1.4000000000000001
-        assert result.fitness_history == (2.283333333333333,) * 4 + (1.4000000000000001,) * 5
-        assert result.metadata["best_bits"] == [0, 0, 0, 1, 1, 0]

@@ -120,6 +120,8 @@ class TestIntuitionisticFuzzyValue:
             IFV(1.2, 0.0)
         with pytest.raises(DataError):
             IFV(0.5, 0.2, 0.5)  # pi inconsistent
+        with pytest.raises(DataError):
+            IFV(0.6, 0.3)._replace(mu=0.9)  # namedtuple helpers validate too
 
     def test_from_crisp(self):
         assert IFV.from_crisp(0.3) == IFV(0.3, 0.7, 0.0)
@@ -130,25 +132,25 @@ class TestIntuitionisticFuzzyValue:
 class TestIfvMultiply:
     def test_multiplicative_identity(self):
         a = IFV(0.6, 0.3)
-        assert ifv_multiply(a, IFV(1.0, 0.0, 0.0)) == a
+        assert tuple(ifv_multiply(a, IFV(1.0, 0.0, 0.0))) == a
 
     def test_derived_product(self):
-        result = ifv_multiply(IFV(0.6, 0.3, 0.1), IFV(0.5, 0.4, 0.1))
-        assert result.mu == pytest.approx(0.30, abs=1e-12)
-        assert result.nu == pytest.approx(0.58, abs=1e-12)
-        assert result.pi == pytest.approx(0.12, abs=1e-12)
+        mu, nu, pi = ifv_multiply(IFV(0.6, 0.3, 0.1), IFV(0.5, 0.4, 0.1))
+        assert mu == pytest.approx(0.30, abs=1e-12)
+        assert nu == pytest.approx(0.58, abs=1e-12)
+        assert pi == pytest.approx(0.12, abs=1e-12)
 
     def test_zero_membership_annihilates(self):
-        result = ifv_multiply(IFV(0.0, 1.0, 0.0), IFV(0.7, 0.2, 0.1))
-        assert result.mu == 0.0
+        mu, _, _ = ifv_multiply(IFV(0.0, 1.0, 0.0), IFV(0.7, 0.2, 0.1))
+        assert mu == 0.0
 
     @given(valid_ifvs(), valid_ifvs())
     def test_commutative_and_invariant_preserving(self, a, w):
-        left = ifv_multiply(a, w)
-        right = ifv_multiply(w, a)
-        assert left.mu == pytest.approx(right.mu, abs=1e-12)
-        assert left.nu == pytest.approx(right.nu, abs=1e-12)
-        assert 0.0 <= left.mu <= 1.0
-        assert 0.0 <= left.nu <= 1.0
-        assert left.mu + left.nu <= 1.0 + 1e-9
-        assert left.pi == pytest.approx(1.0 - left.mu - left.nu, abs=1e-9)
+        mu, nu, pi = ifv_multiply(a, w)
+        right_mu, right_nu, _ = ifv_multiply(w, a)
+        assert mu == pytest.approx(right_mu, abs=1e-12)
+        assert nu == pytest.approx(right_nu, abs=1e-12)
+        assert 0.0 <= mu <= 1.0
+        assert 0.0 <= nu <= 1.0
+        assert mu + nu <= 1.0 + 1e-9
+        assert pi == pytest.approx(1.0 - mu - nu, abs=1e-9)

@@ -18,7 +18,7 @@ from riskfuse.config import PipelineConfig
 from riskfuse.dataset import FeatureMapping, bundled_path
 from riskfuse.ecsa import EcsaConfig, ObjectiveError, optimize
 from riskfuse.errors import DataError, NumericalError, PipelineError
-from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue, TriangularFuzzyNumber
+from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, TriangularFuzzyNumber
 from riskfuse.pipeline import (
     EXACT_FIT_RTOL,
     RiskReport,
@@ -30,14 +30,7 @@ from riskfuse.pipeline import (
     split_train_test,
     tune_anfis_with_ecsa,
 )
-from riskfuse.topsis import (
-    CriterionKind,
-    IfDecisionMatrix,
-    closeness,
-    ideal_solutions,
-    rank_alternatives,
-    separation_measures,
-)
+from riskfuse.topsis import CriterionKind, IfDecisionMatrix, rank_weighted
 
 TFN = TriangularFuzzyNumber
 
@@ -287,16 +280,12 @@ class TestRunPipeline:
         kinds = tuple(
             CriterionKind(k) for k in report.intermediates["criteria_kinds"]
         )
-        rows = tuple(
-            tuple(IntuitionisticFuzzyValue(*cell) for cell in row)
-            for row in report.intermediates["weighted_if_matrix"]
+        matrix = IfDecisionMatrix(
+            rows=report.intermediates["weighted_if_matrix"], criteria_kinds=kinds
         )
-        matrix = IfDecisionMatrix(rows=rows, criteria_kinds=kinds)
-        ideals = ideal_solutions(matrix)
-        v_pos, v_neg = separation_measures(matrix, ideals)
-        xi = closeness(v_pos, v_neg)
+        xi, ranking = rank_weighted(matrix)
         assert xi == pytest.approx(report.closeness, abs=1e-12)
-        assert rank_alternatives(xi) == report.ranking
+        assert ranking == report.ranking
 
     def test_missing_respondents_names_stage(self, nasa_records):
         config = PipelineConfig(runs=2, max_iterations=5, population_size=4)

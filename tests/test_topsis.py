@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from riskfuse.errors import DataError, NumericalError
 from riskfuse.fuzzy import IntuitionisticFuzzyValue
@@ -13,6 +14,7 @@ from riskfuse.topsis import (
     ideal_solutions,
     lift_crisp_weights,
     rank_alternatives,
+    rank_weighted,
     separation_measures,
     tied_groups,
     weighted_if_matrix,
@@ -47,9 +49,9 @@ def oracle_rank(matrix, weights):
     for i in range(n_alt):
         row = []
         for j in range(n_crit):
-            a, w = matrix.rows[i][j], weights[j]
-            mu = a.mu * w.mu
-            nu = a.nu + w.nu - a.nu * w.nu
+            (a_mu, a_nu, _), (w_mu, w_nu, _) = matrix.rows[i][j], weights[j]
+            mu = a_mu * w_mu
+            nu = a_nu + w_nu - a_nu * w_nu
             row.append((mu, nu, 1.0 - mu - nu))
         weighted.append(row)
     positive, negative = [], []
@@ -81,27 +83,81 @@ def oracle_rank(matrix, weights):
     return sorted(range(n_alt), key=lambda i: (-xi[i], i)), xi
 
 
+# Components on and just past the [0, 1] edges, and pi slips on both sides
+# of the 1e-9 tolerance, so both accepted and rejected grids come up.
+COMPONENT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-2e-9, -5e-10, 1 + 5e-10, 1 + 2e-9]))
+SLIP = st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9])
+
+
+def if_cells():
+    near_valid = st.builds(
+        lambda mu, share, slip: (mu, share * (1.0 - mu), (1.0 - mu) * (1.0 - share) + slip),
+        COMPONENT, st.floats(0.0, 1.0), SLIP,
+    )
+    free = st.builds(
+        lambda mu, nu, slip: (mu, nu, 1.0 - mu - nu + slip), COMPONENT, COMPONENT, SLIP
+    )
+    return st.one_of(near_valid, free)
+
+
+def if_grids():
+    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda nm: st.lists(
+            st.lists(if_cells(), min_size=nm[1], max_size=nm[1]), min_size=nm[0], max_size=nm[0]
+        )
+    )
+
+
+def accepts(build) -> bool:
+    try:
+        build()
+    except DataError:
+        return False
+    return True
+
+
+class TestDecisionMatrix:
+    @given(if_grids())
+    def test_accepts_grid_exactly_when_every_cell_is_valid(self, grid):
+        cells_valid = all(accepts(lambda: IFV(*cell)) for row in grid for cell in row)
+        kinds = (B,) * len(grid[0])
+        grid_valid = accepts(lambda: IfDecisionMatrix(rows=np.array(grid), criteria_kinds=kinds))
+        assert grid_valid == cells_valid
+
+    @pytest.mark.parametrize(
+        "rows",
+        [(), [[]], [[(0.5, 0.5, 0.0)], []], [[(0.5, 0.5)]], [["x", "y", "z"]]],
+        ids=["no-alternatives", "no-criteria", "ragged", "two-components", "non-numeric"],
+    )
+    def test_shape_checked(self, rows):
+        with pytest.raises(DataError):
+            IfDecisionMatrix(rows=rows, criteria_kinds=(B,))
+
+    def test_rows_are_one_read_only_array(self):
+        m = matrix_of([[(0.6, 0.3, 0.1), (0.2, 0.7, 0.1)]], [B, C])
+        assert m.rows.shape == (1, 2, 3)
+        with pytest.raises(ValueError):
+            m.rows[0, 0, 0] = 0.5
+
+
 class TestWeightedMatrix:
     def test_identity_weights_keep_matrix(self):
         raw = matrix_of([[(0.6, 0.3, 0.1), (0.2, 0.7, 0.1)]], [B, B])
         weighted = weighted_if_matrix(raw, lift_crisp_weights([1.0, 1.0]))
-        for row_raw, row_w in zip(raw.rows, weighted.rows):
-            for a, b in zip(row_raw, row_w):
-                assert b.mu == pytest.approx(a.mu)
-                assert b.nu == pytest.approx(a.nu)
+        assert weighted.rows[..., :2] == pytest.approx(raw.rows[..., :2])
 
     def test_derived_cell_product(self):
         raw = matrix_of([[(0.6, 0.3, 0.1)]], [B])
         weighted = weighted_if_matrix(raw, (IFV(0.5, 0.4, 0.1),))
-        cell = weighted.rows[0][0]
-        assert cell.mu == pytest.approx(0.30, abs=1e-12)
-        assert cell.nu == pytest.approx(0.58, abs=1e-12)
-        assert cell.pi == pytest.approx(0.12, abs=1e-12)
+        mu, nu, pi = weighted.rows[0, 0]
+        assert mu == pytest.approx(0.30, abs=1e-12)
+        assert nu == pytest.approx(0.58, abs=1e-12)
+        assert pi == pytest.approx(0.12, abs=1e-12)
 
     def test_zero_weight_collapses_column(self):
         raw = matrix_of([[(0.6, 0.3, 0.1)], [(0.9, 0.05, 0.05)]], [B])
         weighted = weighted_if_matrix(raw, (IFV(0.0, 1.0, 0.0),))
-        assert all(row[0].mu == 0.0 for row in weighted.rows)
+        assert np.all(weighted.rows[:, 0, 0] == 0.0)
 
     def test_weight_count_checked(self):
         raw = matrix_of([[(0.6, 0.3, 0.1)]], [B])
@@ -113,23 +169,20 @@ class TestIdealSolutions:
     def test_single_alternative_degenerate(self):
         m = matrix_of([[(0.6, 0.3, 0.1), (0.2, 0.7, 0.1)]], [B, C])
         ideals = ideal_solutions(m)
-        for j in range(2):
-            for ideal in (ideals.positive[j], ideals.negative[j]):
-                assert ideal.mu == pytest.approx(m.rows[0][j].mu)
-                assert ideal.nu == pytest.approx(m.rows[0][j].nu)
-                assert ideal.pi == pytest.approx(m.rows[0][j].pi)
+        for ideal in (ideals.positive, ideals.negative):
+            assert ideal == pytest.approx(m.rows[0])
 
     def test_benefit_column(self):
         m = matrix_of([[(0.2, 0.7, 0.1)], [(0.8, 0.1, 0.1)]], [B])
         ideals = ideal_solutions(m)
-        assert (ideals.positive[0].mu, ideals.positive[0].nu) == (0.8, 0.1)
-        assert (ideals.negative[0].mu, ideals.negative[0].nu) == (0.2, 0.7)
+        assert ideals.positive[0, :2].tolist() == [0.8, 0.1]
+        assert ideals.negative[0, :2].tolist() == [0.2, 0.7]
 
     def test_cost_column_swaps(self):
         m = matrix_of([[(0.2, 0.7, 0.1)], [(0.8, 0.1, 0.1)]], [C])
         ideals = ideal_solutions(m)
-        assert (ideals.positive[0].mu, ideals.positive[0].nu) == (0.2, 0.7)
-        assert (ideals.negative[0].mu, ideals.negative[0].nu) == (0.8, 0.1)
+        assert ideals.positive[0, :2].tolist() == [0.2, 0.7]
+        assert ideals.negative[0, :2].tolist() == [0.8, 0.1]
 
 
 class TestSeparation:
@@ -141,10 +194,7 @@ class TestSeparation:
         # re-derive over the extended matrix so the appended row is an ideal
         new_ideals = ideal_solutions(extended)
         v_pos, _ = separation_measures(extended, new_ideals)
-        if all(
-            extended.rows[-1][j] == new_ideals.positive[j]
-            for j in range(extended.n_criteria)
-        ):
+        if np.array_equal(extended.rows[-1], new_ideals.positive):
             assert v_pos[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_criterion_hand_value(self):
@@ -155,6 +205,16 @@ class TestSeparation:
         v_pos, v_neg = separation_measures(m, ideals_override)
         assert v_pos[0] == pytest.approx(0.5)
         assert v_neg[0] == pytest.approx(0.0)
+
+    def test_ideal_shapes_checked(self):
+        m = matrix_of([[(0.5, 0.5, 0.0), (0.2, 0.7, 0.1)]], [B, B])
+        ideals = ideal_solutions(m)
+        for broken in (
+            type(ideals)(positive=ideals.positive[:1], negative=ideals.negative),
+            type(ideals)(positive=ideals.positive, negative=ideals.negative[:1]),
+        ):
+            with pytest.raises(DataError):
+                separation_measures(m, broken)
 
 
 class TestCloseness:
@@ -203,6 +263,33 @@ class TestProperties:
             assert xi_p == pytest.approx(xi, abs=1e-12)
             assert ranking_p == ranking
 
+    def test_closeness_pinned(self):
+        # A fixed 6x6 matrix and weights; the values were recorded from the
+        # per-cell implementation, so the summation order stays the same.
+        rng = np.random.default_rng(2009)
+        mu = rng.uniform(0, 1, (6, 6))
+        nu = rng.uniform(0, 1, (6, 6)) * (1 - mu)
+        w_mu = rng.uniform(0, 1, 6)
+        w_nu = rng.uniform(0, 1, 6) * (1 - w_mu)
+        raw = IfDecisionMatrix(
+            rows=[[IFV(float(a), float(b)) for a, b in zip(*row)] for row in zip(mu, nu)],
+            criteria_kinds=(B, C, B, B, C, B),
+        )
+        _, xi, ranking = evaluate(raw, [IFV(float(a), float(b)) for a, b in zip(w_mu, w_nu)])
+        assert xi.tolist() == [
+            0.542048962549601, 0.4845505679908548, 0.5918904817622137,
+            0.5319309841547881, 0.4745415167263796, 0.6061783626849762,
+        ]
+        assert ranking == [5, 2, 0, 3, 1, 4]
+
+    def test_evaluate_is_weighting_then_rank_weighted(self, rng):
+        m = random_matrix(rng, 4, 3)
+        weights = tuple(random_ifv(rng) for _ in range(3))
+        weighted, xi, ranking = evaluate(m, weights)
+        xi_w, ranking_w = rank_weighted(weighted)
+        assert np.array_equal(xi, xi_w)
+        assert ranking == ranking_w
+
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(50):
             n_alt = int(rng.integers(2, 4))
@@ -214,6 +301,4 @@ class TestProperties:
             assert ranking == expected_ranking
             assert xi == pytest.approx(expected_xi, abs=1e-12)
             assert np.all((xi >= 0.0) & (xi <= 1.0))
-            for row in weighted.rows:
-                for cell in row:
-                    assert cell.mu + cell.nu <= 1.0 + 1e-9
+            assert np.all(weighted.rows[..., 0] + weighted.rows[..., 1] <= 1.0 + 1e-9)
