@@ -207,7 +207,6 @@ def write_default_config(path: Path) -> None:
         "flight_length": 2.0,
         "ap_min": 0.1,
         "ap_max": 0.8,
-        "beta": 0.9,
         "runs": 20,
         "coefficient_mode": "magnitude",
         "anfis_inputs": "groups",

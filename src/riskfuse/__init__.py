@@ -37,13 +37,11 @@ from .dematel import (
     total_relation_matrix,
 )
 from .ecsa import (
-    CrowPopulation,
     EcsaConfig,
     OptimizationResult,
     dynamic_awareness_probability,
     fitness,
     global_update,
-    init_population,
     local_neighborhood_update,
     optimize,
 )

@@ -58,21 +58,25 @@ def _format_vector(values) -> str:
     return "[" + ", ".join(str(float(v)) for v in values) + "]"
 
 
-def _resolve_seed(args, config: PipelineConfig) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RISKFUSE_SEED")
-    if env is not None:
+def _resolve_seed(args, default: int) -> int:
+    """``--seed``, else ``RISKFUSE_SEED``, else ``default``; never negative."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("RISKFUSE_SEED")
+        if env is None:
+            return default
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise DataError(f"RISKFUSE_SEED={env!r} is not an integer") from None
-    return config.seed
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    return replace(config, seed=_resolve_seed(args, config))
+    return replace(config, seed=_resolve_seed(args, config.seed))
 
 
 def _parse_cell(cell):
@@ -193,7 +197,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_bench_ecsa(args) -> int:
     functions = list(BENCHMARKS) if args.function == "both" else [args.function]
-    seed = args.seed if args.seed is not None else 0
+    seed = _resolve_seed(args, 0)
     rows = []
     for name in functions:
         objective = BENCHMARKS[name]

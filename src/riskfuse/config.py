@@ -39,7 +39,6 @@ class PipelineConfig:
     flight_length: float = 2.0
     ap_min: float = 0.1
     ap_max: float = 0.8
-    beta: float = 0.9
     runs: int = 20
     coefficient_mode: str = "magnitude"
     # Dataset mapping.
@@ -139,7 +138,7 @@ def config_from_dict(payload: dict) -> PipelineConfig:
     simple_keys = (
         "cluster_radius", "split_fraction", "cv_folds", "seed",
         "population_size", "max_iterations", "flight_length",
-        "ap_min", "ap_max", "beta", "runs", "coefficient_mode",
+        "ap_min", "ap_max", "runs", "coefficient_mode",
         "anfis_inputs", "ordinal_values", "missing_value",
     )
     for key in simple_keys:

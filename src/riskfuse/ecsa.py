@@ -13,13 +13,16 @@ decays across the run.
 
 Minimizes a nonnegative objective over a box.  The classical crow
 search and a plain random search are included as internal baselines for
-benchmarking only.
+benchmarking only.  All three run through one search loop, which owns
+the seeding, the start, the evaluation, the memories and the result;
+they differ only in the rule that moves the crows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +30,7 @@ import numpy as np
 from .errors import DataError, RiskfuseError
 
 RING_REACH = 2  # neighbors on each side of the shuffled ring (size 5 total)
+FITNESS_WEIGHT = 0.9  # weight of the objective in the reference fitness
 
 # A batch objective: (crows, dim) positions in, one value per row out.
 Objective = Callable[[np.ndarray], "np.ndarray | float"]
@@ -38,12 +42,18 @@ def _clamp(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lower), upper)
 
 
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class EcsaConfig:
     """Search constants and the box the crows fly in.
 
     Defaults follow the reference protocol: 10 crows, 100 iterations,
-    awareness probability between 0.1 and 0.8, fitness weight 0.9.
+    awareness probability between 0.1 and 0.8.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -52,7 +62,6 @@ class EcsaConfig:
     flight_length: float = 2.0
     ap_min: float = 0.1
     ap_max: float = 0.8
-    beta: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -64,8 +73,6 @@ class EcsaConfig:
             raise DataError(
                 f"need 0 <= ap_min < ap_max <= 1, got ({self.ap_min}, {self.ap_max})"
             )
-        if not (0.0 <= self.beta <= 1.0):
-            raise DataError(f"beta must be in [0, 1], got {self.beta}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         if not bounds:
@@ -77,32 +84,19 @@ class EcsaConfig:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
+    # Built once per config: the moves read the box every iteration.
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.bounds])
+        return _read_only([lo for lo, _ in self.bounds])
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.bounds])
+        return _read_only([hi for _, hi in self.bounds])
 
     @property
     def evaluation_budget(self) -> int:
         """Objective evaluations one run consumes (init + per-iteration)."""
         return self.population_size * (self.max_iterations + 1)
-
-
-@dataclass
-class CrowPopulation:
-    """Mutable search state: positions, per-crow memories and ranks."""
-
-    positions: np.ndarray
-    memories: np.ndarray
-    fitnesses: np.ndarray
-    memory_fitnesses: np.ndarray
-    ranks: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    neighborhoods: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -115,43 +109,32 @@ class OptimizationResult:
     metadata: dict
 
 
-def init_population(config: EcsaConfig, rng: np.random.Generator | None = None) -> CrowPopulation:
-    """Scatter the crows uniformly inside the bounds; memories start at
-    the initial positions."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    lower, upper = config.lower, config.upper
-    positions = lower + rng.random((config.population_size, config.dim)) * (upper - lower)
-    n = config.population_size
-    return CrowPopulation(
-        positions=positions,
-        memories=positions.copy(),
-        fitnesses=np.full(n, np.inf),
-        memory_fitnesses=np.full(n, np.inf),
-        ranks=np.arange(1, n + 1),
-        lower=lower,
-        upper=upper,
-    )
+def _uniform(rng: np.random.Generator, shape, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Points drawn uniformly inside the bounds."""
+    return lower + rng.random(shape) * (upper - lower)
 
 
-def dynamic_awareness_probability(rank: int, config: EcsaConfig) -> float:
-    """Awareness probability for a crow of the given rank.
+def dynamic_awareness_probability(ranks: np.ndarray, config: EcsaConfig) -> list[float]:
+    """Awareness probability of each crow, given the crows' ranks.
 
     DAP = ap_min + (ap_max - ap_min) * rank / N_p, so the best crow
-    (rank 1) is the least aware and the worst crow the most.
+    (rank 1) is the least aware and the worst crow the most.  Returned as
+    Python floats, which the per-crow draws compare against cheaply.
     """
-    if not 1 <= rank <= config.population_size:
-        raise DataError(f"rank {rank} outside 1..{config.population_size}")
+    ranks = np.asarray(ranks).tolist()
+    n = config.population_size
+    if min(ranks) < 1 or max(ranks) > n:
+        raise DataError(f"ranks {ranks} outside 1..{n}")
     span = config.ap_max - config.ap_min
-    return config.ap_min + span * rank / config.population_size
+    return [config.ap_min + span * rank / n for rank in ranks]
 
 
-def reshuffle_neighborhoods(population: CrowPopulation, rng: np.random.Generator) -> None:
-    """Rebuild each crow's small static neighborhood from a fresh shuffle.
+def reshuffle_neighborhoods(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each of n crows' small static neighborhood, from a fresh shuffle.
 
     Crows are placed on a shuffled ring; a crow's neighborhood is itself
     plus up to two ring neighbors on each side.
     """
-    n = population.positions.shape[0]
     order = rng.permutation(n)
     slot_of = np.empty(n, dtype=int)
     slot_of[order] = np.arange(n)
@@ -164,14 +147,17 @@ def reshuffle_neighborhoods(population: CrowPopulation, rng: np.random.Generator
             if slot not in slots:
                 slots.append(slot)
         neighborhoods.append(order[slots])
-    population.neighborhoods = neighborhoods
+    return neighborhoods
 
 
 def local_neighborhood_update(
-    crow_index: int,
-    population: CrowPopulation,
+    position: np.ndarray,
+    neighborhood: np.ndarray,
+    memories: np.ndarray,
     flight_length: float,
     rng: np.random.Generator,
+    lower: np.ndarray,
+    upper: np.ndarray,
 ) -> np.ndarray:
     """Move a crow toward cached positions borrowed from its neighborhood.
 
@@ -181,27 +167,25 @@ def local_neighborhood_update(
     to x + r * fl * (g - x) with one r ~ U(0, 1) per move, drawn after the
     neighbor picks (Askarzadeh 2016).  The result is clamped to the bounds.
     """
-    position = population.positions[crow_index]
-    neighborhood = population.neighborhoods[crow_index]
     dim = position.shape[0]
     picks = rng.integers(0, len(neighborhood), size=dim)
-    guides = population.memories[neighborhood[picks], np.arange(dim)]
+    guides = memories[neighborhood[picks], np.arange(dim)]
     step = flight_length * rng.random()
     moved = position + step * (guides - position)
-    return _clamp(moved, population.lower, population.upper)
+    return _clamp(moved, lower, upper)
 
 
 def decay_coefficient(itr: int, max_itr: int) -> float:
     """Best-guided step size C1 = 2 exp(-(4 itr / max_itr)^2), decaying
     from 2 toward 0 across the run."""
+    if not 0 <= itr <= max_itr:
+        raise DataError(f"iteration {itr} outside 0..{max_itr}")
     return 2.0 * math.exp(-((4.0 * itr / max_itr) ** 2))
 
 
 def global_update(
-    crow_position: np.ndarray,
     best_position: np.ndarray,
-    itr: int,
-    max_itr: int,
+    c1: float,
     rng: np.random.Generator,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -209,16 +193,13 @@ def global_update(
     """Relocate a crow around the global best.
 
     Salp-swarm leader update (Mirjalili et al. 2017):
-    best + s * c1 * c2 * (upper - lower), where c1 is the decaying
-    coefficient, c2 ~ U(0, 1) per dimension, and the side s is drawn per
-    dimension after c2 (+1 where a uniform draw is below 0.5, else -1).
-    Scaling by the box width keeps the move independent of the box's
-    units.  Clamped to the bounds.
+    best + s * c1 * c2 * (upper - lower), where c1 is the iteration's
+    :func:`decay_coefficient`, c2 ~ U(0, 1) per dimension, and the side s
+    is drawn per dimension after c2 (+1 where a uniform draw is below
+    0.5, else -1).  Scaling by the box width keeps the move independent
+    of the box's units.  Clamped to the bounds.
     """
-    if not 0 <= itr <= max_itr:
-        raise DataError(f"iteration {itr} outside 0..{max_itr}")
-    dim = crow_position.shape[0]
-    c1 = decay_coefficient(itr, max_itr)
+    dim = best_position.shape[0]
     c2 = rng.random(dim)
     step = c1 * c2 * (upper - lower)
     # Subtracting the step signed like (draw - 0.5) adds it where the
@@ -227,14 +208,16 @@ def global_update(
     return _clamp(moved, lower, upper)
 
 
-def fitness(err: float, beta: float) -> float:
-    """Weighted fitness beta * err + (1 - beta).
+def fitness(err):
+    """Weighted fitness FITNESS_WEIGHT * err + (1 - FITNESS_WEIGHT).
 
     The second term of the reference fitness weights a selected-subset
     fraction; a search over a continuous box selects no subset, so the
-    term is the constant (1 - beta).
+    term is a constant.  The weighted value, not the raw error, is what
+    the search compares: the weighting rounds away differences of a few
+    ulps, and the ties that leaves decide which candidates a run keeps.
     """
-    return beta * err + (1.0 - beta)
+    return FITNESS_WEIGHT * err + (1.0 - FITNESS_WEIGHT)
 
 
 def _ranks_from_fitness(fitnesses: np.ndarray) -> np.ndarray:
@@ -250,30 +233,123 @@ class ObjectiveError(RiskfuseError):
 
 
 def _evaluate(
-    objective: Objective, positions: np.ndarray, config: EcsaConfig, itr: int
+    objective: Objective, positions: np.ndarray, itr: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fitnesses and raw objective values of a (crows, dim) population.
 
     The objective is called once with all rows and returns one value per
-    row; a scalar result counts for every row.
+    row; a scalar result counts for every row.  A NaN value scores as
+    +inf, so it never becomes a memory or the best.
     """
     errs = np.empty(len(positions))
     try:
         errs[:] = objective(positions)
     except Exception as exc:
         raise ObjectiveError(f"objective failed at iteration {itr}: {exc}") from exc
-    return fitness(errs, config.beta), errs
+    fits = fitness(errs)
+    nan = np.isnan(fits)
+    if nan.any():
+        fits[nan] = np.inf
+    return fits, errs
 
 
-def _remember(
-    pop: CrowPopulation, memory_errs: np.ndarray, fits: np.ndarray, errs: np.ndarray
-) -> None:
-    """Record the new fitnesses; memories move only where a crow improved."""
-    pop.fitnesses = fits
-    improved = fits < pop.memory_fitnesses
-    pop.memory_fitnesses[improved] = fits[improved]
-    pop.memories[improved] = pop.positions[improved]
-    memory_errs[improved] = errs[improved]
+def _search(
+    objective: Objective,
+    config: EcsaConfig,
+    move: Callable[..., np.ndarray],
+    initial_guesses: Sequence[np.ndarray] = (),
+) -> OptimizationResult:
+    """The crow-search loop shared by every search.
+
+    Scatters the crows uniformly inside the bounds (warm-start guesses
+    replace the first crows' spots), then alternates one objective call
+    with all crows and one move rule,
+    ``move(config, rng, itr, positions, fitnesses, memories, best)``,
+    which returns the next (crows, dim) positions from the current ones,
+    their fitnesses, the memories and the best memory.  A crow's memory
+    moves only where it strictly improved, so the best-fitness history
+    never increases.
+    """
+    rng = np.random.default_rng(config.seed)
+    n, lower, upper = config.population_size, config.lower, config.upper
+    positions = _uniform(rng, (n, config.dim), lower, upper)
+    if len(initial_guesses) > n:
+        raise DataError(
+            f"{len(initial_guesses)} initial guesses exceed the population size {n}"
+        )
+    for j, guess in enumerate(initial_guesses):
+        guess = np.clip(np.asarray(guess, dtype=float), lower, upper)
+        if guess.shape != (config.dim,):
+            raise DataError(f"initial guess {j} has shape {guess.shape}, expected ({config.dim},)")
+        positions[j] = guess
+
+    memories = positions.copy()
+    memory_fits = np.full(n, np.inf)
+    memory_errs = np.full(n, np.inf)
+    history = []
+    for itr in range(config.max_iterations + 1):
+        if itr:
+            positions = move(config, rng, itr, positions, fits, memories, memories[best])
+        fits, errs = _evaluate(objective, positions, itr)
+        improved = fits < memory_fits
+        memory_fits[improved] = fits[improved]
+        memories[improved] = positions[improved]
+        memory_errs[improved] = errs[improved]
+        best = int(np.argmin(memory_fits))
+        history.append(float(memory_fits[best]))
+
+    return OptimizationResult(
+        best_position=memories[best].copy(),
+        best_fitness=float(memory_fits[best]),
+        fitness_history=tuple(history),
+        metadata={
+            "seed": config.seed,
+            "iterations_executed": config.max_iterations,
+            "evaluations": config.evaluation_budget,
+            "best_objective": float(memory_errs[best]),
+        },
+    )
+
+
+def _ecsa_move(config, rng, itr, positions, fitnesses, memories, best):
+    """Rank the crows by their fitness; each then follows its ring
+    neighborhood, or, on an awareness draw below its probability,
+    relocates around the best memory."""
+    lower, upper = config.lower, config.upper
+    neighborhoods = reshuffle_neighborhoods(len(positions), rng)
+    awareness = dynamic_awareness_probability(_ranks_from_fitness(fitnesses), config)
+    c1 = decay_coefficient(itr, config.max_iterations)
+    moved = np.empty_like(positions)
+    for j, dap in enumerate(awareness):
+        if rng.random() >= dap:
+            moved[j] = local_neighborhood_update(
+                positions[j], neighborhoods[j], memories, config.flight_length, rng, lower, upper
+            )
+        else:
+            moved[j] = global_update(best, c1, rng, lower, upper)
+    return moved
+
+
+def _csa_move(config, rng, itr, positions, fitnesses, memories, best):
+    """Each crow picks a random crow to follow toward its memory, or,
+    when that crow is aware (fixed probability ``ap_min``), relocates
+    uniformly."""
+    n = len(positions)
+    lower, upper = config.lower, config.upper
+    moved = np.empty_like(positions)
+    for j in range(n):
+        target = int(rng.integers(0, n))
+        if rng.random() >= config.ap_min:
+            step = config.flight_length * rng.random()
+            moved[j] = positions[j] + step * (memories[target] - positions[j])
+        else:
+            moved[j] = _uniform(rng, config.dim, lower, upper)
+    return _clamp(moved, lower, upper)
+
+
+def _random_move(config, rng, itr, positions, fitnesses, memories, best):
+    """Every crow draws a fresh uniform point."""
+    return _uniform(rng, positions.shape, config.lower, config.upper)
 
 
 def optimize(
@@ -296,60 +372,7 @@ def optimize(
         initial_guesses: optional warm-start positions replacing the
             first crows' random spots (clamped to the bounds).
     """
-    rng = np.random.default_rng(config.seed)
-    pop = init_population(config, rng)
-    n = config.population_size
-    if len(initial_guesses) > n:
-        raise DataError(
-            f"{len(initial_guesses)} initial guesses exceed the population size {n}"
-        )
-    for j, guess in enumerate(initial_guesses):
-        guess = np.clip(np.asarray(guess, dtype=float), config.lower, config.upper)
-        if guess.shape != (config.dim,):
-            raise DataError(f"initial guess {j} has shape {guess.shape}, expected ({config.dim},)")
-        pop.positions[j] = guess
-        pop.memories[j] = guess.copy()
-
-    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, 0)
-    pop.memory_fitnesses = pop.fitnesses.copy()
-    pop.ranks = _ranks_from_fitness(pop.fitnesses)
-    history = [float(pop.memory_fitnesses.min())]
-
-    for itr in range(1, config.max_iterations + 1):
-        reshuffle_neighborhoods(pop, rng)
-        best = pop.memories[int(np.argmin(pop.memory_fitnesses))]
-
-        new_positions = np.empty_like(pop.positions)
-        for j in range(n):
-            dap = dynamic_awareness_probability(int(pop.ranks[j]), config)
-            if rng.random() >= dap:
-                new_positions[j] = local_neighborhood_update(
-                    j, pop, config.flight_length, rng
-                )
-            else:
-                new_positions[j] = global_update(
-                    pop.positions[j], best, itr, config.max_iterations,
-                    rng, pop.lower, pop.upper,
-                )
-
-        pop.positions = new_positions
-        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, itr))
-        pop.ranks = _ranks_from_fitness(pop.fitnesses)
-        history.append(float(pop.memory_fitnesses.min()))
-
-    best_idx = int(np.argmin(pop.memory_fitnesses))
-    metadata = {
-        "seed": config.seed,
-        "iterations_executed": config.max_iterations,
-        "evaluations": config.evaluation_budget,
-        "best_objective": float(memory_errs[best_idx]),
-    }
-    return OptimizationResult(
-        best_position=pop.memories[best_idx].copy(),
-        best_fitness=float(pop.memory_fitnesses[best_idx]),
-        fitness_history=tuple(history),
-        metadata=metadata,
-    )
+    return _search(objective, config, _ecsa_move, initial_guesses)
 
 
 def classical_csa(objective: Objective, config: EcsaConfig) -> OptimizationResult:
@@ -359,73 +382,13 @@ def classical_csa(objective: Objective, config: EcsaConfig) -> OptimizationResul
     random relocation on awareness.  Shares the evaluation budget and
     seeding scheme with :func:`optimize`.
     """
-    rng = np.random.default_rng(config.seed)
-    pop = init_population(config, rng)
-    n = config.population_size
-    lower, upper = config.lower, config.upper
-
-    pop.fitnesses, memory_errs = _evaluate(objective, pop.positions, config, 0)
-    pop.memory_fitnesses = pop.fitnesses.copy()
-    history = [float(pop.memory_fitnesses.min())]
-
-    for itr in range(1, config.max_iterations + 1):
-        new_positions = np.empty_like(pop.positions)
-        for j in range(n):
-            target = int(rng.integers(0, n))
-            if rng.random() >= config.ap_min:
-                step = config.flight_length * rng.random()
-                moved = pop.positions[j] + step * (pop.memories[target] - pop.positions[j])
-            else:
-                moved = lower + rng.random(config.dim) * (upper - lower)
-            new_positions[j] = np.clip(moved, lower, upper)
-        pop.positions = new_positions
-        _remember(pop, memory_errs, *_evaluate(objective, pop.positions, config, itr))
-        history.append(float(pop.memory_fitnesses.min()))
-
-    best_idx = int(np.argmin(pop.memory_fitnesses))
-    return OptimizationResult(
-        best_position=pop.memories[best_idx].copy(),
-        best_fitness=float(pop.memory_fitnesses[best_idx]),
-        fitness_history=tuple(history),
-        metadata={
-            "seed": config.seed,
-            "iterations_executed": config.max_iterations,
-            "evaluations": config.evaluation_budget,
-            "best_objective": float(memory_errs[best_idx]),
-            "algorithm": "classical-csa",
-        },
-    )
+    return _search(objective, config, _csa_move)
 
 
 def random_search(objective: Objective, config: EcsaConfig) -> OptimizationResult:
     """Uniform random sampling with the same evaluation budget (internal
     baseline)."""
-    rng = np.random.default_rng(config.seed)
-    lower, upper = config.lower, config.upper
-    best_fit = math.inf
-    best_err = math.inf
-    best_pos = lower
-    history = []
-    for block in range(config.max_iterations + 1):
-        positions = lower + rng.random((config.population_size, config.dim)) * (upper - lower)
-        fits, errs = _evaluate(objective, positions, config, block)
-        # First best row, as a crow-by-crow scan would pick it (NaN never wins).
-        j = int(np.argmin(np.where(np.isnan(fits), np.inf, fits)))
-        if fits[j] < best_fit:
-            best_fit, best_err, best_pos = float(fits[j]), errs[j], positions[j]
-        history.append(best_fit)
-    return OptimizationResult(
-        best_position=best_pos.copy(),
-        best_fitness=float(best_fit),
-        fitness_history=tuple(history),
-        metadata={
-            "seed": config.seed,
-            "iterations_executed": config.max_iterations,
-            "evaluations": config.evaluation_budget,
-            "best_objective": float(best_err),
-            "algorithm": "random-search",
-        },
-    )
+    return _search(objective, config, _random_move)
 
 
 def sphere(x: np.ndarray) -> np.ndarray:

@@ -181,7 +181,6 @@ def tune_anfis_with_ecsa(
             flight_length=config.flight_length,
             ap_min=config.ap_min,
             ap_max=config.ap_max,
-            beta=config.beta,
             seed=int(run_seed),
         )
         result = optimize(objective, ecsa_config, initial_guesses=[identity])
@@ -413,18 +412,7 @@ def run_pipeline(
         raw_matrix = IfDecisionMatrix(
             rows=lift_crisp(np.clip(f, 0.0, 1.0)[:, None] * evidence), criteria_kinds=kinds
         )
-        if n == 1:
-            # A single factor coincides with its own ideal; closeness is
-            # degenerate, the ranking is trivial.
-            weighted_matrix = topsis.weighted_if_matrix(
-                raw_matrix, lift_crisp_weights(weights)
-            )
-            xi = np.array([1.0])
-            ranking = [0]
-        else:
-            weighted_matrix, xi, ranking = topsis.evaluate(
-                raw_matrix, lift_crisp_weights(weights)
-            )
+        weighted_matrix, xi, ranking = topsis.evaluate(raw_matrix, lift_crisp_weights(weights))
         ties = topsis.tied_groups(xi)
     except RiskfuseError as exc:
         raise PipelineError("topsis", str(exc)) from exc

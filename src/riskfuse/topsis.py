@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .fuzzy import check_ifv, ifv_multiply, lift_crisp
 
 
@@ -125,19 +125,18 @@ def separation_measures(
 
 
 def closeness(vp: np.ndarray, vn: np.ndarray) -> np.ndarray:
-    """Relative closeness xi = vn / (vn + vp), in [0, 1]."""
+    """Relative closeness xi = vn / (vn + vp), in [0, 1].
+
+    An alternative on the positive ideal (vp = 0) scores 1.0.  That is
+    the ratio's value whenever vn > 0, and it also covers vp = vn = 0,
+    where both ideals coincide with the alternative: a single
+    alternative, or alternatives that are all identical.
+    """
     vp = np.asarray(vp, dtype=float)
     vn = np.asarray(vn, dtype=float)
     if vp.shape != vn.shape:
         raise DataError(f"separation vectors differ in length: {vp.shape} vs {vn.shape}")
-    totals = vp + vn
-    degenerate = np.nonzero(totals == 0.0)[0]
-    if degenerate.size:
-        raise NumericalError(
-            f"alternative(s) {degenerate.tolist()} are equidistant-zero from both "
-            "ideals; closeness is undefined"
-        )
-    return vn / totals
+    return np.divide(vn, vp + vn, out=np.ones_like(vn), where=vp > 0.0)
 
 
 def rank_alternatives(xi: np.ndarray) -> list[int]:

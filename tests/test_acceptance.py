@@ -215,7 +215,6 @@ def sphere_campaign():
             max_iterations=100,
             ap_min=0.1,
             ap_max=0.8,
-            beta=0.9,
             seed=seed,
         )
         results.append(

@@ -1,9 +1,12 @@
 """The benchmark harness under perfbench/ drives the package through
 public names (``topsis.IfDecisionMatrix``, ``lift_crisp_weights``,
-``anfis.forward`` and the traced functions).  This smoke test builds the
-harness's micro kernels, installs its tracer and runs every kernel once
-in a fresh interpreter, so a change that breaks that contract fails here."""
+``anfis.forward``, ``ecsa.optimize`` and the traced functions).  These
+smoke tests build the harness's micro kernels, install its tracer and run
+every kernel once, and run one tiny ``ecsa-search`` unit, each in a fresh
+interpreter, so a change that breaks that contract fails here."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -21,11 +24,18 @@ for fn, _ in kernels.values():
     fn()
 """
 
+ECSA_SCRIPT = """
+import sys, unit
 
-def test_micro_kernels_and_tracer_install():
+spec = {"workload": {"kind": "ecsa", "runs": 2, "dim": 3}, "seed": 11, "out": sys.argv[1]}
+unit.run_ecsa_unit(spec)
+"""
+
+
+def _run_harness(script: str, *args: str) -> None:
     path = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script, *args],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -33,3 +43,20 @@ def test_micro_kernels_and_tracer_install():
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_micro_kernels_and_tracer_install():
+    _run_harness(SCRIPT)
+
+
+def test_ecsa_unit_results(tmp_path):
+    out = tmp_path / "ecsa.json"
+    _run_harness(ECSA_SCRIPT, str(out))
+    results = json.loads(out.read_text())
+    assert sorted(results) == ["rastrigin", "sphere"]
+    for runs in results.values():
+        assert len(runs) == 2
+        for run in runs:
+            assert math.isfinite(run["best_objective"])
+            history = run["fitness_history"]
+            assert all(b <= a for a, b in zip(history, history[1:]))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from riskfuse.cli import cli_main
@@ -75,6 +76,17 @@ class TestRankCommand:
         path.write_text(json.dumps(matrix))
         assert cli_main(["rank", "--matrix", str(path)]) == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cells, xi",
+        [([[[0.8, 0.1]]], "[1.0]"), ([[[0.8, 0.1]], [[0.8, 0.1]]], "[1.0, 1.0]")],
+        ids=["one-alternative", "identical-rows"],
+    )
+    def test_degenerate_matrix_ranks(self, cells, xi, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"cells": cells, "criteria_kinds": ["benefit"]}))
+        assert cli_main(["rank", "--matrix", str(path)]) == 0
+        assert f"xi = {xi}" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -182,6 +194,20 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("function,run,seed")
         assert len(lines) == 3
+
+    def test_seed_from_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RISKFUSE_SEED", "7")
+        out = tmp_path / "bench.csv"
+        assert cli_main(["--out", str(out), "bench-ecsa", "--runs", "2", "--iterations", "1"]) == 0
+        seeds = [int(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+        assert seeds == np.random.SeedSequence(7).generate_state(2).tolist()
+
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])
+    def test_negative_seed_is_data_error(self, flag, env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("RISKFUSE_SEED", env)
+        assert cli_main([*flag, "bench-ecsa", "--runs", "1", "--iterations", "1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("runs", ["0", "-1"])
     def test_nonpositive_runs_is_usage_error(self, runs, capsys):

@@ -158,12 +158,15 @@ class TestConfig:
         assert config.runs == 20
         assert config.population_size == 10
         assert config.max_iterations == 100
-        assert config.beta == pytest.approx(0.9)
+        assert config.flight_length == 2.0
         assert (config.ap_min, config.ap_max) == (0.1, 0.8)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(DataError, match="typo_key"):
             config_from_dict({"typo_key": 1})
+        # The fitness weight is a constant, no longer a configuration key.
+        with pytest.raises(DataError, match="beta"):
+            config_from_dict({"beta": 0.9})
 
     def test_custom_scale_parsed(self):
         config = config_from_dict(

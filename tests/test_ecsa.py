@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riskfuse.ecsa import (
-    CrowPopulation,
+    FITNESS_WEIGHT,
     EcsaConfig,
     ObjectiveError,
     classical_csa,
@@ -12,7 +12,6 @@ from riskfuse.ecsa import (
     dynamic_awareness_probability,
     fitness,
     global_update,
-    init_population,
     local_neighborhood_update,
     optimize,
     random_search,
@@ -66,8 +65,6 @@ class TestConfig:
         with pytest.raises(DataError):
             unit_config(ap_min=0.5, ap_max=0.5)
         with pytest.raises(DataError):
-            unit_config(beta=1.5)
-        with pytest.raises(DataError):
             unit_config(bounds=((1.0, 0.0),))
 
     def test_budget(self):
@@ -75,89 +72,92 @@ class TestConfig:
         assert config.evaluation_budget == 1010
 
 
+def start_positions(config):
+    """The positions a search evaluates first: its uniform start."""
+    seen = []
+
+    def objective(x):
+        seen.append(x.copy())
+        return sphere(x)
+
+    optimize(objective, config)
+    return seen[0]
+
+
 class TestInitPopulation:
     def test_within_bounds(self):
         for seed in (0, 1, 99):
             config = unit_config(seed=seed, bounds=((-3.0, 2.0), (0.0, 0.5)))
-            pop = init_population(config)
-            assert np.all(pop.positions >= config.lower)
-            assert np.all(pop.positions <= config.upper)
+            positions = start_positions(config)
+            assert np.all(positions >= config.lower)
+            assert np.all(positions <= config.upper)
 
     def test_degenerate_interval(self):
         config = unit_config(bounds=((0.7, 0.7 + 1e-12),))
-        pop = init_population(config)
-        assert pop.positions == pytest.approx(np.full_like(pop.positions, 0.7))
+        positions = start_positions(config)
+        assert positions == pytest.approx(np.full_like(positions, 0.7))
 
     def test_seed_reproducibility(self):
         config = unit_config(seed=5)
-        assert np.array_equal(init_population(config).positions, init_population(config).positions)
+        assert np.array_equal(start_positions(config), start_positions(config))
 
     def test_memories_start_at_positions(self):
-        pop = init_population(unit_config())
-        assert np.array_equal(pop.memories, pop.positions)
+        # A constant objective never improves a memory, so the best memory
+        # is the first crow's start.
+        config = unit_config(max_iterations=3)
+        result = optimize(lambda x: 1.0, config)
+        assert np.array_equal(result.best_position, start_positions(config)[0])
 
 
 class TestDynamicAwareness:
     def test_reference_constants(self):
         config = unit_config(population_size=10, ap_min=0.1, ap_max=0.8)
-        assert dynamic_awareness_probability(1, config) == pytest.approx(0.17, abs=1e-12)
-        assert dynamic_awareness_probability(10, config) == pytest.approx(0.8, abs=1e-12)
+        assert dynamic_awareness_probability([1, 10], config) == pytest.approx(
+            [0.17, 0.8], abs=1e-12
+        )
 
     def test_monotone_in_rank(self):
         config = unit_config(population_size=8)
-        values = [dynamic_awareness_probability(r, config) for r in range(1, 9)]
+        values = dynamic_awareness_probability(np.arange(1, 9), config)
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(config.ap_min <= v <= config.ap_max for v in values)
 
     def test_rank_out_of_range(self):
         config = unit_config()
         with pytest.raises(DataError):
-            dynamic_awareness_probability(0, config)
+            dynamic_awareness_probability([0, 1], config)
         with pytest.raises(DataError):
-            dynamic_awareness_probability(7, config)
+            dynamic_awareness_probability([7], config)
 
 
-def _population_at(positions, config):
+def _move_first(positions, neighborhood, flight_length, rng):
+    """Local move of crow 0 among crows whose memories are their
+    positions, in the unit box."""
     positions = np.array(positions, dtype=float)
-    n = positions.shape[0]
-    pop = CrowPopulation(
-        positions=positions,
-        memories=positions.copy(),
-        fitnesses=np.zeros(n),
-        memory_fitnesses=np.zeros(n),
-        ranks=np.arange(1, n + 1),
-        lower=config.lower,
-        upper=config.upper,
+    dim = positions.shape[1]
+    return local_neighborhood_update(
+        positions[0], np.asarray(neighborhood), positions, flight_length, rng,
+        np.zeros(dim), np.ones(dim),
     )
-    pop.neighborhoods = [np.arange(n) for _ in range(n)]
-    return pop
 
 
 class TestLocalUpdate:
     def test_self_neighborhood_no_move(self, rng):
-        config = unit_config(dim=2, population_size=2)
-        pop = _population_at([[0.3, 0.4], [0.3, 0.4]], config)
-        moved = local_neighborhood_update(0, pop, flight_length=2.0, rng=rng)
-        assert moved == pytest.approx(pop.positions[0])
+        positions = [[0.3, 0.4], [0.3, 0.4]]
+        moved = _move_first(positions, [0, 1], flight_length=2.0, rng=rng)
+        assert moved == pytest.approx(positions[0])
 
     def test_zero_flight_length(self, rng):
-        config = unit_config(dim=2, population_size=3)
-        pop = _population_at([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]], config)
-        moved = local_neighborhood_update(0, pop, flight_length=0.0, rng=rng)
-        assert moved == pytest.approx(pop.positions[0])
+        positions = [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]]
+        moved = _move_first(positions, [0, 1, 2], flight_length=0.0, rng=rng)
+        assert moved == pytest.approx(positions[0])
 
     def test_one_dimensional_step(self):
-        config = unit_config(dim=1, population_size=2)
-        pop = _population_at([[0.0], [1.0]], config)
-        pop.neighborhoods = [np.array([1]), np.array([0])]
-        moved = local_neighborhood_update(0, pop, flight_length=0.5, rng=_QueueRng(0.5))
+        moved = _move_first([[0.0], [1.0]], [1], flight_length=0.5, rng=_QueueRng(0.5))
         assert moved == pytest.approx([0.25])  # 0 + 0.5*0.5*(1-0)
 
     def test_clamped_to_bounds(self):
-        config = unit_config(dim=1, population_size=2)
-        pop = _population_at([[0.0], [1.0]], config)
-        pop.neighborhoods = [np.array([1]), np.array([0])]
-        moved = local_neighborhood_update(0, pop, flight_length=2.0, rng=_QueueRng(0.75))
+        moved = _move_first([[0.0], [1.0]], [1], flight_length=2.0, rng=_QueueRng(0.75))
         assert moved == pytest.approx([1.0])  # 0 + 0.75*2*(1-0) = 1.5 clamps to upper
 
 
@@ -169,8 +169,7 @@ class TestGlobalUpdate:
     def test_zero_step_returns_best(self):
         best = np.array([0.2, 0.8])
         moved = global_update(
-            np.array([0.5, 0.5]), best, itr=1, max_itr=10,
-            rng=_ZeroRng(), lower=np.zeros(2), upper=np.ones(2),
+            best, decay_coefficient(1, 10), rng=_ZeroRng(), lower=np.zeros(2), upper=np.ones(2)
         )
         assert moved == pytest.approx(best)
 
@@ -179,39 +178,35 @@ class TestGlobalUpdate:
         best = np.array([0.5, 2.0, 0.0])
         # c2 = 0.1 everywhere; direction draws put dimension 1 on the low side.
         rng = _QueueRng([0.1, 0.1, 0.1], [0.2, 0.7, 0.2])
-        moved = global_update(best, best, itr=0, max_itr=10, rng=rng, lower=lower, upper=upper)
+        moved = global_update(best, decay_coefficient(0, 10), rng, lower, upper)
         # best + s * c1 * c2 * (upper - lower) with c1 = 2 at itr 0.
         assert moved == pytest.approx([0.5 + 0.2, 2.0 - 0.8, 0.0 + 4.0])
 
     def test_iteration_range_checked(self, rng):
         with pytest.raises(DataError):
-            global_update(
-                np.zeros(1), np.zeros(1), itr=11, max_itr=10,
-                rng=rng, lower=np.zeros(1), upper=np.ones(1),
-            )
+            decay_coefficient(11, 10)
 
     def test_bounded(self, rng):
         lower, upper = np.zeros(3), np.ones(3)
         for itr in (0, 3, 10):
-            moved = global_update(
-                np.full(3, 0.5), np.full(3, 0.9), itr, 10, rng, lower, upper
-            )
+            moved = global_update(np.full(3, 0.9), decay_coefficient(itr, 10), rng, lower, upper)
             assert np.all(moved >= lower) and np.all(moved <= upper)
 
 
 class TestFitness:
     def test_continuous_constant_term(self):
-        assert fitness(0.0, 0.9) == pytest.approx(0.1)
+        assert fitness(0.0) == pytest.approx(0.1)
 
-    def test_beta_one_is_pure_error(self):
-        assert fitness(0.37, 1.0) == pytest.approx(0.37)
+    def test_fixed_weight(self):
+        assert FITNESS_WEIGHT == 0.9
+        assert fitness(0.37) == pytest.approx(0.9 * 0.37 + 0.1)
 
 
 class TestOptimize:
     def test_constant_objective_flat_history(self):
         config = unit_config(max_iterations=5)
         result = optimize(lambda x: 3.0, config)
-        expected = fitness(3.0, config.beta)
+        expected = fitness(3.0)
         assert result.best_fitness == pytest.approx(expected)
         assert all(h == pytest.approx(expected) for h in result.fitness_history)
 
@@ -221,7 +216,7 @@ class TestOptimize:
 
         def objective(x):
             values = sphere(x)
-            seen.extend(fitness(values, config.beta))
+            seen.extend(fitness(values))
             return values
 
         result = optimize(objective, config)
@@ -301,19 +296,13 @@ class TestOptimize:
 
 class TestNeighborhoods:
     def test_ring_members_and_reshuffle(self, rng):
-        config = unit_config(population_size=7)
-        pop = init_population(config)
-        reshuffle_neighborhoods(pop, rng)
-        for crow, members in enumerate(pop.neighborhoods):
+        for crow, members in enumerate(reshuffle_neighborhoods(7, rng)):
             assert crow in members
             assert len(members) == 5
             assert len(set(members.tolist())) == 5
 
     def test_small_population_ring(self, rng):
-        config = unit_config(population_size=3)
-        pop = init_population(config)
-        reshuffle_neighborhoods(pop, rng)
-        for members in pop.neighborhoods:
+        for members in reshuffle_neighborhoods(3, rng):
             assert len(members) == 3
 
 
@@ -375,3 +364,19 @@ class TestStreamPins:
         result = search(sphere, EcsaConfig(**self.CONFIG))
         assert result.best_fitness == best
         assert result.fitness_history == history
+
+    @pytest.mark.parametrize("search", [optimize, classical_csa, random_search])
+    def test_nan_value_never_wins(self, search):
+        evaluated = []
+
+        def objective(x):
+            values = sphere(x)
+            if not evaluated:
+                values[0] = np.nan
+            evaluated.append(values)
+            return values
+
+        result = search(objective, EcsaConfig(**self.CONFIG))
+        assert np.all(np.isfinite(result.fitness_history))
+        assert result.best_fitness == np.nanmin(fitness(np.concatenate(evaluated)))
+        assert math.isfinite(result.metadata["best_objective"])

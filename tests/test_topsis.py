@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from riskfuse.errors import DataError, NumericalError
+from riskfuse.errors import DataError
 from riskfuse.fuzzy import IntuitionisticFuzzyValue
 from riskfuse.topsis import (
     CriterionKind,
@@ -224,8 +224,8 @@ class TestCloseness:
         assert closeness(np.array([0.3]), np.array([0.3]))[0] == pytest.approx(0.5)
 
     def test_degenerate_alternative_named(self):
-        with pytest.raises(NumericalError, match=r"\[1\]"):
-            closeness(np.array([0.5, 0.0]), np.array([0.5, 0.0]))
+        # On both ideals at once (vp = vn = 0), as on the positive ideal alone.
+        assert closeness(np.array([0.5, 0.0]), np.array([0.5, 0.0])).tolist() == [0.5, 1.0]
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
