@@ -40,7 +40,6 @@ from .ecsa import (
     EcsaConfig,
     OptimizationResult,
     dynamic_awareness_probability,
-    fitness,
     global_update,
     local_neighborhood_update,
     optimize,

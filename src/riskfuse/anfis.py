@@ -2,8 +2,9 @@
 
 Covers the five-layer forward pass (fuzzification, product firing
 strengths, normalization, rule consequents, weighted sum), subtractive
-clustering for rule extraction, least-squares consequent fitting, error
-metrics, and the multiplicative parameter scaling the optimizer tunes.
+clustering for rule extraction, least-squares and ridge consequent
+fitting, error metrics, and the multiplicative premise scaling the
+optimizer tunes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ REJECT_RATIO = 0.15
 
 # Lower clamp for width/shape parameters driven nonpositive by scaling.
 MIN_SHAPE_PARAM = 1e-6
+
+# Ridge penalty of the tuning fit, per training row: the consequents
+# minimize ||residual||^2 + RIDGE * n * ||consequents||^2.
+RIDGE = 1e-2
 
 
 def bell_membership(u, m, l, k):
@@ -84,28 +89,41 @@ class AnfisModel:
 
     @property
     def n_parameters(self) -> int:
-        """Tunable parameter count: 3 premise values per rule and
-        dimension, plus input_dim + 1 consequent values per rule."""
-        return self.premises.size + self.consequents.size
+        """Tunable parameter count: 3 premise values per rule and input.
+        The consequents are fitted in closed form, not tuned."""
+        return self.premises.size
 
 
 def _membership_matrix(premises: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Firing strengths of the (rules, inputs, 3) premises for the rows of
-    x: shape (n_samples, n_rules)."""
-    m, l, k = premises.transpose(2, 0, 1)
-    return bell_membership(x[:, None, :], m, l, k).prod(axis=2)
+    """Firing strengths of the (..., rules, inputs, 3) premises for the
+    rows of x: shape (..., n_samples, n_rules), over any leading candidate
+    axes.  The inputs are multiplied in one at a time, so no tensor with
+    an axis per input is built."""
+    if x.ndim != 2 or x.shape[1] != premises.shape[-2]:
+        raise DataError(f"expected rows of {premises.shape[-2]} inputs, got shape {x.shape}")
+    params = np.moveaxis(premises, -1, 0)[..., None, :, :]  # (3, ..., 1, R, D)
+    w = 1.0
+    for d, u in enumerate(x.T):
+        w = w * bell_membership(u[:, None], *params[..., d])
+    return w
 
 
-def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row normalized firing strengths (..., n_samples, n_rules), plus
+    the (..., n_samples) mask of rows where every activation underflowed
+    to zero; their strengths are left at zero."""
     w = _membership_matrix(premises, x)
-    totals = w.sum(axis=1)
-    dead = totals <= 0.0
+    totals = w.sum(axis=-1, keepdims=True)
+    dead = totals[..., 0] <= 0.0
+    return np.divide(w, totals, out=np.zeros_like(w), where=~dead[..., None]), dead
+
+
+def _require_alive(dead: np.ndarray) -> None:
     if np.any(dead):
         raise NumericalError(
             f"all rule activations underflowed to zero for {int(dead.sum())} "
             "input(s); the model cannot evaluate there"
         )
-    return w / totals[:, None]
 
 
 def _rule_outputs(consequents: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -114,19 +132,9 @@ def _rule_outputs(consequents: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ consequents[:, :-1].T + consequents[:, -1]
 
 
-def _weighted_output(wbar: np.ndarray, x: np.ndarray, consequents: np.ndarray) -> np.ndarray:
-    """Per-row rule outputs weighted by the normalized strengths wbar."""
-    return (wbar * _rule_outputs(consequents, x)).sum(axis=1)
-
-
 def forward(model: AnfisModel, inputs: np.ndarray) -> float:
     """Model output at one input vector; see ``forward_batch``."""
-    inputs = np.atleast_1d(np.asarray(inputs, dtype=float))
-    if inputs.shape != (model.input_dim,):
-        raise DataError(
-            f"expected input of shape ({model.input_dim},), got {inputs.shape}"
-        )
-    return float(forward_batch(model, inputs[None, :])[0])
+    return float(forward_batch(model, np.atleast_1d(inputs)[None, :])[0])
 
 
 def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -137,7 +145,9 @@ def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
         NumericalError: if every rule activation underflows to zero.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _weighted_output(_normalized_strengths(model.premises, x), x, model.consequents)
+    wbar, dead = _normalized_strengths(model.premises, x)
+    _require_alive(dead)
+    return (wbar * _rule_outputs(model.consequents, x)).sum(axis=1)
 
 
 def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
@@ -238,27 +248,8 @@ def init_fis(
     return fit_consequents_least_squares(model, train)
 
 
-def _refit(
-    premises: np.ndarray, x: np.ndarray, augmented: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Minimum-norm least-squares consequents at fixed premises.
-
-    ``augmented`` is ``[x 1]``.  Returns the normalized strengths, the
-    (rules, inputs + 1) consequents and the rank of the design.
-    """
-    wbar = _normalized_strengths(premises, x)
-    # Design columns per rule j: wbar_j * x_d for each d, then wbar_j.
-    design = (wbar[:, :, None] * augmented[:, None, :]).reshape(len(x), -1)
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    return wbar, solution.reshape(len(premises), -1), rank
-
-
 def _augment(x: np.ndarray) -> np.ndarray:
     return np.column_stack([x, np.ones(len(x))])
-
-
-def _root_mean_square(errors: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(errors**2)))
 
 
 def fit_consequents_least_squares(
@@ -274,7 +265,12 @@ def fit_consequents_least_squares(
     if not train:
         raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
-    _, consequents, rank = _refit(model.premises, x, _augment(x), y)
+    wbar, dead = _normalized_strengths(model.premises, x)
+    _require_alive(dead)
+    # Design columns per rule j: wbar_j * x_d for each d, then wbar_j.
+    design = (wbar[:, :, None] * _augment(x)[:, None, :]).reshape(len(x), -1)
+    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    consequents = solution.reshape(model.consequents.shape)
     diagnostics = model.diagnostics
     if rank < consequents.size:
         diagnostics = diagnostics + (
@@ -284,32 +280,64 @@ def fit_consequents_least_squares(
     return replace(model, consequents=consequents, diagnostics=diagnostics)
 
 
-def refit_rmse(
-    premises: np.ndarray, x: np.ndarray, augmented: np.ndarray, y: np.ndarray
-) -> float:
-    """Training RMSE after a least-squares consequent refit at fixed
-    premises, with ``augmented`` = ``[x 1]``: ``fit_consequents_least_squares``
-    then ``rmse`` on the same rows, from one membership pass."""
-    wbar, consequents, _ = _refit(premises, x, augmented, y)
-    return _root_mean_square(_weighted_output(wbar, x, consequents) - y)
+def _ridge_dual(
+    premises: np.ndarray, x: np.ndarray, gram: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dual ridge solve at fixed premises, over any leading candidate axes.
+
+    The design row of sample i is wbar_i (x) [x_i 1], so the kernel
+    design @ design.T is (wbar wbar^T) * gram with ``gram`` = [x 1][x 1]^T,
+    and alpha = solve(kernel + RIDGE n I, y).  Returns the normalized
+    strengths, alpha (..., n) and the (..., n) mask of rows whose
+    activations all underflow.
+    """
+    wbar, dead = _normalized_strengths(premises, x)
+    n = len(y)
+    kernel = (wbar @ np.swapaxes(wbar, -1, -2)) * gram
+    kernel += RIDGE * n * np.eye(n)
+    return wbar, np.linalg.solve(kernel, y), dead
 
 
-def scaling_objective(
-    model0: AnfisModel, train: list[tuple[np.ndarray, float]], floor: float = 0.0
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch search objective over parameter-scaling coefficients.
+def fit_consequents_ridge(
+    model: AnfisModel, train: list[tuple[np.ndarray, float]]
+) -> AnfisModel:
+    """Refit all rule consequents by ridge regression at fixed premises.
 
-    Takes a (candidates, n_parameters) array and returns per row the
-    training RMSE of ``apply_parameter_scaling`` followed by
-    ``fit_consequents_least_squares``, bit for bit, without building
-    models: the training matrix is stacked once, and per candidate only
-    the premise block is scaled (the refit replaces the consequents).  An
-    RMSE at or below ``floor`` scores as exactly 0.
+    Minimizes the squared training error plus ``RIDGE * n`` times the
+    squared consequent norm, through the n x n dual solve; the
+    consequents of rule j are sum_i alpha_i wbar_ij [x_i 1].  The penalty
+    keeps the solve well posed when rules outnumber what the rows can
+    pin down, where the minimum-norm least-squares fit interpolates.
     """
     if not train:
         raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
     augmented = _augment(x)
+    wbar, alpha, dead = _ridge_dual(model.premises, x, augmented @ augmented.T, y)
+    _require_alive(dead)
+    return replace(model, consequents=(wbar * alpha[:, None]).T @ augmented)
+
+
+def scaling_objective(
+    model0: AnfisModel, train: list[tuple[np.ndarray, float]]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch search objective over premise-scaling coefficients.
+
+    Takes a (candidates, n_parameters) array and returns per row the
+    training RMSE of ``apply_parameter_scaling`` followed by
+    ``fit_consequents_ridge``, without building models: one batched dual
+    solve covers all rows.  The training residual of the ridge fit is
+    exactly RIDGE n alpha, so the RMSE is RIDGE sqrt(n) ||alpha||.  Rows
+    are independent: a row scores the same bits alone or in any batch.
+    An infeasible candidate, under which every activation of some
+    training row underflows, scores +inf.
+    """
+    if not train:
+        raise DataError("cannot fit consequents on empty data")
+    x, y = _stack_samples(train)
+    augmented = _augment(x)
+    gram = augmented @ augmented.T
+    scale = RIDGE * math.sqrt(len(y))
 
     def objective(coefficients: np.ndarray) -> np.ndarray:
         coefficients = np.asarray(coefficients, dtype=float)
@@ -319,10 +347,8 @@ def scaling_objective(
                 f"got {coefficients.shape}"
             )
         premises, _ = _scaled_premises(model0.premises, coefficients)
-        # One candidate at a time: a membership tensor over all candidates
-        # would hold candidates x rows x rules x inputs values at once.
-        errs = np.array([refit_rmse(p, x, augmented, y) for p in premises])
-        return np.where(errs > floor, errs, 0.0)
+        _, alpha, dead = _ridge_dual(premises, x, gram, y)
+        return np.where(dead.any(axis=-1), np.inf, scale * np.linalg.norm(alpha, axis=-1))
 
     return objective
 
@@ -332,7 +358,7 @@ def rmse(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
     if not dataset:
         raise DataError("rmse needs a non-empty dataset")
     x, y = _stack_samples(dataset)
-    return _root_mean_square(forward_batch(model, x) - y)
+    return float(np.sqrt(np.mean((forward_batch(model, x) - y) ** 2)))
 
 
 def mape(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
@@ -347,18 +373,16 @@ def mape(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
 
 
 def parameter_vector(model: AnfisModel) -> np.ndarray:
-    """Flatten all tunable parameters in the documented fixed order:
-    per rule, per input dimension (m, l, k); then per rule the
-    consequent (slopes..., bias)."""
-    return np.concatenate([model.premises.ravel(), model.consequents.ravel()])
+    """Flatten the tunable parameters in the documented fixed order:
+    per rule, per input dimension (m, l, k)."""
+    return model.premises.ravel()
 
 
 def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, int]:
-    """Premises times the leading ``premises0.size`` coefficients of each
-    row (over any leading axes), with widths and shape exponents below
-    ``MIN_SHAPE_PARAM`` clamped to it; plus the number clamped."""
-    lead = coefficients.shape[:-1]
-    premises = premises0 * coefficients[..., : premises0.size].reshape(lead + premises0.shape)
+    """Premises times each coefficient row (over any leading axes), with
+    widths and shape exponents below ``MIN_SHAPE_PARAM`` clamped to it;
+    plus the number clamped."""
+    premises = premises0 * coefficients.reshape(coefficients.shape[:-1] + premises0.shape)
     shape_params = premises[..., 1:]  # a view: the clamp writes into premises
     low = shape_params < MIN_SHAPE_PARAM
     shape_params[low] = MIN_SHAPE_PARAM
@@ -366,12 +390,12 @@ def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> tuple[n
 
 
 def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> AnfisModel:
-    """Scale every tunable parameter of a base model multiplicatively.
+    """Scale every premise parameter of a base model multiplicatively.
 
     Each parameter of the returned model equals its initial value times
-    the matching coefficient (ordered as in ``parameter_vector``).  Width
-    and shape parameters that would become nonpositive are clamped to
-    1e-6 and a diagnostic is recorded.
+    the matching coefficient (ordered as in ``parameter_vector``); the
+    consequents are kept.  Width and shape parameters that would become
+    nonpositive are clamped to 1e-6 and a diagnostic is recorded.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (model0.n_parameters,):
@@ -380,17 +404,12 @@ def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> Anf
         )
 
     premises, clamped = _scaled_premises(model0.premises, coefficients)
-    cut = model0.premises.size
-    consequents = model0.consequents * coefficients[cut:].reshape(model0.consequents.shape)
-
     diagnostics = model0.diagnostics
     if clamped:
         diagnostics = diagnostics + (
             f"clamped {clamped} width/shape parameter(s) to {MIN_SHAPE_PARAM}",
         )
-    return replace(
-        model0, premises=premises, consequents=consequents, diagnostics=diagnostics
-    )
+    return replace(model0, premises=premises, diagnostics=diagnostics)
 
 
 def model_to_dict(model: AnfisModel) -> dict:

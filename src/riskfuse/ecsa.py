@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DataError, RiskfuseError
 
 RING_REACH = 2  # neighbors on each side of the shuffled ring (size 5 total)
-FITNESS_WEIGHT = 0.9  # weight of the objective in the reference fitness
 
 # A batch objective: (crows, dim) positions in, one value per row out.
 Objective = Callable[[np.ndarray], "np.ndarray | float"]
@@ -101,7 +100,10 @@ class EcsaConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best solution of a run plus its per-iteration best-fitness trace."""
+    """Best solution of a run plus its per-iteration best-fitness trace.
+
+    A fitness is the objective value the search compares: the raw value,
+    with NaN scored as +inf."""
 
     best_position: np.ndarray
     best_fitness: float
@@ -208,18 +210,6 @@ def global_update(
     return _clamp(moved, lower, upper)
 
 
-def fitness(err):
-    """Weighted fitness FITNESS_WEIGHT * err + (1 - FITNESS_WEIGHT).
-
-    The second term of the reference fitness weights a selected-subset
-    fraction; a search over a continuous box selects no subset, so the
-    term is a constant.  The weighted value, not the raw error, is what
-    the search compares: the weighting rounds away differences of a few
-    ulps, and the ties that leaves decide which candidates a run keeps.
-    """
-    return FITNESS_WEIGHT * err + (1.0 - FITNESS_WEIGHT)
-
-
 def _ranks_from_fitness(fitnesses: np.ndarray) -> np.ndarray:
     order = np.argsort(fitnesses, kind="stable")
     ranks = np.empty_like(order)
@@ -232,25 +222,20 @@ class ObjectiveError(RiskfuseError):
     original exception as ``__cause__``."""
 
 
-def _evaluate(
-    objective: Objective, positions: np.ndarray, itr: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitnesses and raw objective values of a (crows, dim) population.
+def _evaluate(objective: Objective, positions: np.ndarray, itr: int) -> np.ndarray:
+    """Fitnesses of a (crows, dim) population.
 
     The objective is called once with all rows and returns one value per
     row; a scalar result counts for every row.  A NaN value scores as
     +inf, so it never becomes a memory or the best.
     """
-    errs = np.empty(len(positions))
+    fits = np.empty(len(positions))
     try:
-        errs[:] = objective(positions)
+        fits[:] = objective(positions)
     except Exception as exc:
         raise ObjectiveError(f"objective failed at iteration {itr}: {exc}") from exc
-    fits = fitness(errs)
-    nan = np.isnan(fits)
-    if nan.any():
-        fits[nan] = np.inf
-    return fits, errs
+    fits[np.isnan(fits)] = np.inf
+    return fits
 
 
 def _search(
@@ -285,16 +270,14 @@ def _search(
 
     memories = positions.copy()
     memory_fits = np.full(n, np.inf)
-    memory_errs = np.full(n, np.inf)
     history = []
     for itr in range(config.max_iterations + 1):
         if itr:
             positions = move(config, rng, itr, positions, fits, memories, memories[best])
-        fits, errs = _evaluate(objective, positions, itr)
+        fits = _evaluate(objective, positions, itr)
         improved = fits < memory_fits
         memory_fits[improved] = fits[improved]
         memories[improved] = positions[improved]
-        memory_errs[improved] = errs[improved]
         best = int(np.argmin(memory_fits))
         history.append(float(memory_fits[best]))
 
@@ -306,7 +289,7 @@ def _search(
             "seed": config.seed,
             "iterations_executed": config.max_iterations,
             "evaluations": config.evaluation_budget,
-            "best_objective": float(memory_errs[best]),
+            "best_objective": float(memory_fits[best]),
         },
     )
 

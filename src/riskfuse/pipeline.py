@@ -31,9 +31,6 @@ from .fuzzy import lift_crisp
 from .topsis import IfDecisionMatrix, lift_crisp_weights
 
 P_OUT_TOL = 1e-9
-# A training RMSE below this share of the targets' RMS is an exact fit up
-# to rounding (half the digits of a double).
-EXACT_FIT_RTOL = math.sqrt(np.finfo(float).eps)
 
 Sample = tuple[np.ndarray, float]
 
@@ -144,35 +141,32 @@ def tune_anfis_with_ecsa(
     config: PipelineConfig,
     base_model: anfis.AnfisModel | None = None,
 ) -> TuningResult:
-    """Tune a neuro-fuzzy model by searching parameter-scaling coefficients.
+    """Tune a neuro-fuzzy model by searching premise-scaling coefficients.
 
     Builds the base model by subtractive clustering (unless one is
     supplied), then runs the configured number of independent crow
-    searches over the coefficient box.  The objective scales the base
-    parameters, refits the consequents by least squares, and scores
-    training RMSE.  The all-ones coefficient vector is injected into
-    every initial population, so the tuned training RMSE never exceeds
-    the base model's.  A training RMSE within rounding of zero (below
-    ``EXACT_FIT_RTOL`` times the targets' RMS) scores as exactly zero:
-    when the refit interpolates the training set for every candidate, the
-    candidates tie and the search keeps the base model instead of one
-    picked by rounding noise.  The winner across runs is picked by test
+    searches over the coefficient box (Jang's hybrid scheme: the search
+    moves the premises, the consequents follow in closed form).  The
+    objective scales the base premises, fits the consequents by ridge
+    regression, and scores training RMSE.  The all-ones coefficient
+    vector is injected into every initial population, so no run ends
+    above the base premises' score, ``base_train_rmse``.  Each run keeps
+    its best candidate's model; the winner across runs is picked by test
     RMSE.
     """
     if base_model is None:
         base_model = anfis.init_fis(train, config.cluster_radius)
-    base_model = anfis.fit_consequents_least_squares(base_model, train)
-    base_train_rmse = anfis.rmse(base_model, train)
-
+    # The tuned models replace the base consequents, so they carry none of
+    # the notes of the base's own fit.
+    base_model = replace(base_model, diagnostics=())
+    objective = anfis.scaling_objective(base_model, train)
     n_coeff = base_model.n_parameters
     lo, hi = config.coefficient_bounds()
     identity = np.ones(n_coeff)
-    exact_fit = EXACT_FIT_RTOL * math.sqrt(np.mean([target**2 for _, target in train]))
-    objective = anfis.scaling_objective(base_model, train, floor=exact_fit)
 
     run_seeds = np.random.SeedSequence(config.seed).generate_state(config.runs)
     run_stats: list[dict] = []
-    best: tuple[float, np.ndarray] | None = None
+    kept: list[tuple[anfis.AnfisModel, np.ndarray]] = []
     for run_index, run_seed in enumerate(run_seeds):
         ecsa_config = EcsaConfig(
             bounds=((lo, hi),) * n_coeff,
@@ -184,34 +178,29 @@ def tune_anfis_with_ecsa(
             seed=int(run_seed),
         )
         result = optimize(objective, ecsa_config, initial_guesses=[identity])
-        candidate = anfis.fit_consequents_least_squares(
+        candidate = anfis.fit_consequents_ridge(
             anfis.apply_parameter_scaling(base_model, result.best_position), train
         )
-        train_rmse = anfis.rmse(candidate, train)
-        test_rmse = anfis.rmse(candidate, test)
+        kept.append((candidate, result.best_position))
         run_stats.append(
             {
                 "run": run_index,
                 "seed": int(run_seed),
                 "best_fitness": result.best_fitness,
-                "train_rmse": train_rmse,
-                "test_rmse": test_rmse,
+                "train_rmse": anfis.rmse(candidate, train),
+                "test_rmse": anfis.rmse(candidate, test),
                 "evaluations": result.metadata["evaluations"],
             }
         )
-        if best is None or test_rmse < best[0]:
-            best = (test_rmse, result.best_position)
 
-    coefficients = best[1]
-    model = anfis.fit_consequents_least_squares(
-        anfis.apply_parameter_scaling(base_model, coefficients), train
-    )
+    winner = min(range(len(kept)), key=lambda i: run_stats[i]["test_rmse"])
+    model, coefficients = kept[winner]
     return TuningResult(
         model=model,
         coefficients=coefficients,
-        base_train_rmse=base_train_rmse,
-        train_rmse=anfis.rmse(model, train),
-        test_rmse=anfis.rmse(model, test),
+        base_train_rmse=float(objective(identity[None])[0]),
+        train_rmse=run_stats[winner]["train_rmse"],
+        test_rmse=run_stats[winner]["test_rmse"],
         test_mape=anfis.mape(model, test),
         run_stats=run_stats,
     )
@@ -264,7 +253,9 @@ def cross_validate(samples: list[Sample], config: PipelineConfig) -> CrossValida
 
 def potential_scores(model: anfis.AnfisModel, factor_inputs: Sequence[np.ndarray]) -> np.ndarray:
     """Model output per risk factor's probe feature vector."""
-    return np.array([anfis.forward(model, probe) for probe in factor_inputs])
+    if not len(factor_inputs):
+        return np.array([])
+    return anfis.forward_batch(model, np.array(factor_inputs, dtype=float))
 
 
 def aggregate_risk(w: np.ndarray, f: np.ndarray) -> float:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from riskfuse import anfis
 from riskfuse.anfis import (
     AnfisModel,
     _membership_matrix,
@@ -8,6 +11,7 @@ from riskfuse.anfis import (
     apply_parameter_scaling,
     bell_membership,
     fit_consequents_least_squares,
+    fit_consequents_ridge,
     forward,
     forward_batch,
     init_fis,
@@ -120,6 +124,21 @@ class TestForward:
             ]
             assert _membership_matrix(model.premises, xs) == pytest.approx(np.array(loop), rel=1e-14)
 
+    def test_membership_matrix_broadcasts_over_candidates(self, rng):
+        stacked = np.stack([random_model(rng, dim=2, n_rules=3).premises for _ in range(4)])
+        xs = rng.uniform(-1, 2, size=(7, 2))
+        batch = _membership_matrix(stacked[None], xs)
+        assert batch.shape == (1, 4, 7, 3)
+        for one, premises in zip(batch[0], stacked):
+            assert one.tobytes() == _membership_matrix(premises, xs).tobytes()
+
+    def test_input_width_checked(self, rng):
+        model = random_model(rng, dim=2, n_rules=2)
+        with pytest.raises(DataError, match="2 inputs"):
+            forward_batch(model, np.zeros((3, 1)))
+        with pytest.raises(DataError):
+            forward(model, np.zeros(3))
+
     def test_batch_matches_scalar(self, rng):
         model = random_model(rng, dim=2, n_rules=3)
         xs = rng.uniform(-1, 2, size=(10, 2))
@@ -217,6 +236,38 @@ class TestLeastSquaresFit:
         assert rmse(refit, train) < 1e-8
 
 
+class TestRidgeFit:
+    def test_matches_primal_solve(self, rng):
+        # The dual solve equals the textbook primal ridge system
+        # (A^T A + lambda n I) theta = A^T y on the rule design A.
+        model = random_model(rng, dim=2, n_rules=3)
+        xs = rng.uniform(0.0, 1.0, size=(20, 2))
+        ys = np.sin(3.0 * xs.sum(axis=1))
+        fitted = fit_consequents_ridge(model, list(zip(xs, ys)))
+        m, l, k = model.premises.transpose(2, 0, 1)
+        w = bell_membership(xs[:, None, :], m, l, k).prod(axis=2)
+        wbar = w / w.sum(axis=1, keepdims=True)
+        design = (wbar[:, :, None] * np.column_stack([xs, np.ones(20)])[:, None, :]).reshape(20, -1)
+        primal = np.linalg.solve(
+            design.T @ design + anfis.RIDGE * 20 * np.eye(design.shape[1]), design.T @ ys
+        )
+        assert fitted.consequents.ravel() == pytest.approx(primal, rel=1e-8, abs=1e-10)
+
+    def test_shrinks_below_least_squares(self, rng):
+        model = random_model(rng, dim=2, n_rules=3)
+        xs = rng.uniform(0.0, 1.0, size=(12, 2))
+        train = [(x, float(rng.normal())) for x in xs]
+        ridge = fit_consequents_ridge(model, train)
+        exact = fit_consequents_least_squares(model, train)
+        assert np.linalg.norm(ridge.consequents) < np.linalg.norm(exact.consequents)
+        assert rmse(ridge, train) >= rmse(exact, train) - 1e-12
+
+    def test_dead_rows_raise(self):
+        model = make_model([[(1e300, 1.0, 1.0)]], [[1.0, 0.0]])
+        with pytest.raises(NumericalError):
+            fit_consequents_ridge(model, [(np.array([0.0]), 1.0)])
+
+
 class TestErrorMetrics:
     def test_perfect_predictions(self, rng):
         model = random_model(rng, dim=1, n_rules=2)
@@ -280,9 +331,9 @@ class TestParameterScaling:
             [[(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]],
             [[7.0, 8.0, 9.0]],
         )
-        assert parameter_vector(model) == pytest.approx(
-            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-        )
+        # Premises only: the consequents are fitted, not tuned.
+        assert parameter_vector(model) == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert model.n_parameters == 6
 
 
 class TestGradients:
@@ -293,8 +344,6 @@ class TestGradients:
             model = random_model(rng, dim=2, n_rules=2)
             x = rng.uniform(0.0, 1.0, size=2)
             h = 1e-4
-            base_vector = parameter_vector(model)
-            premise_count = 2 * 2 * 3
             strengths = []
             for rule in model.premises:  # (dim, 3) rows of (m, l, k)
                 w = np.prod(bell_membership(x, *rule.T))
@@ -302,25 +351,13 @@ class TestGradients:
             wbar = np.array(strengths) / sum(strengths)
             for j in range(2):
                 for d in range(3):  # slopes then bias
-                    index = premise_count + j * 3 + d
                     analytic = wbar[j] * (x[d] if d < 2 else 1.0)
-                    bumped_up = base_vector.copy()
-                    bumped_dn = base_vector.copy()
-                    bumped_up[index] += h
-                    bumped_dn[index] -= h
-                    up = _model_with_vector(model, bumped_up)
-                    dn = _model_with_vector(model, bumped_dn)
+                    bump = np.zeros_like(model.consequents)
+                    bump[j, d] = h
+                    up = replace(model, consequents=model.consequents + bump)
+                    dn = replace(model, consequents=model.consequents - bump)
                     numeric = (forward(up, x) - forward(dn, x)) / (2 * h)
                     assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
-
-
-def _model_with_vector(model, vector):
-    cut = model.premises.size
-    return make_model(
-        vector[:cut].reshape(model.premises.shape),
-        vector[cut:].reshape(model.consequents.shape),
-        spans=model.input_normalization,
-    )
 
 
 class TestSerialization:
@@ -334,6 +371,7 @@ class TestSerialization:
         model = random_model(rng, dim=2, n_rules=3)
         clone = model_from_dict(model_to_dict(model))
         assert parameter_vector(clone) == pytest.approx(parameter_vector(model))
+        assert clone.consequents == pytest.approx(model.consequents)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)

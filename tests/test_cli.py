@@ -115,23 +115,17 @@ class TestExitCodes:
         "command", [["pipeline"], ["tune", "--data", str(bundled_path("nasa93.arff"))]]
     )
     def test_numerical_error_inside_search(self, command, quick_config_file, monkeypatch, capsys):
-        # The per-candidate refit fails on its third call: inside the
-        # search objective's first batch.
+        # The batched ridge solve fails on its first call: the search
+        # objective's first batch.
         from riskfuse import anfis
 
-        real_refit = anfis.refit_rmse
-        calls = []
+        def failing_solve(*args):
+            raise NumericalError("injected solve failure")
 
-        def failing_refit(*args):
-            calls.append(None)
-            if len(calls) == 3:
-                raise NumericalError("injected refit failure")
-            return real_refit(*args)
-
-        monkeypatch.setattr(anfis, "refit_rmse", failing_refit)
+        monkeypatch.setattr(anfis, "_ridge_dual", failing_solve)
         assert cli_main(["--config", quick_config_file] + command) == 3
         err = capsys.readouterr().err
-        assert "injected refit failure" in err
+        assert "injected solve failure" in err
         assert "objective failed at iteration 0:" in err
 
     def test_help_exits_zero(self):

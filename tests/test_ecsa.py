@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from riskfuse.ecsa import (
-    FITNESS_WEIGHT,
     EcsaConfig,
     ObjectiveError,
     classical_csa,
     decay_coefficient,
     dynamic_awareness_probability,
-    fitness,
     global_update,
     local_neighborhood_update,
     optimize,
@@ -193,22 +191,12 @@ class TestGlobalUpdate:
             assert np.all(moved >= lower) and np.all(moved <= upper)
 
 
-class TestFitness:
-    def test_continuous_constant_term(self):
-        assert fitness(0.0) == pytest.approx(0.1)
-
-    def test_fixed_weight(self):
-        assert FITNESS_WEIGHT == 0.9
-        assert fitness(0.37) == pytest.approx(0.9 * 0.37 + 0.1)
-
-
 class TestOptimize:
     def test_constant_objective_flat_history(self):
         config = unit_config(max_iterations=5)
         result = optimize(lambda x: 3.0, config)
-        expected = fitness(3.0)
-        assert result.best_fitness == pytest.approx(expected)
-        assert all(h == pytest.approx(expected) for h in result.fitness_history)
+        assert result.best_fitness == 3.0
+        assert result.fitness_history == (3.0,) * 6
 
     def test_small_instance_matches_exhaustive_evaluation(self):
         config = unit_config(dim=2, population_size=2, max_iterations=1, seed=3)
@@ -216,7 +204,7 @@ class TestOptimize:
 
         def objective(x):
             values = sphere(x)
-            seen.extend(fitness(values))
+            seen.extend(values)
             return values
 
         result = optimize(objective, config)
@@ -330,10 +318,36 @@ class TestBaselines:
 
 
 class TestStreamPins:
-    """Fixed-seed results recorded when the objective was still called
-    once per crow: the batch call keeps every random draw in place."""
+    """Fixed-seed results, first recorded when the objective was still
+    called once per crow: the batch call keeps every random draw in place.
+
+    The parameters are the pins recorded while the search compared the
+    weighted fitness 0.9 err + 0.1.  ``RAW`` holds them re-recorded in raw
+    objective values, the search's values since; each equals (old - 0.1)
+    / 0.9 up to the rounding of that conversion, so dropping the weight
+    moved neither the random stream nor any memory update."""
 
     CONFIG = dict(bounds=((-2.0, 2.0),) * 3, population_size=5, max_iterations=8, seed=42)
+
+    RAW = {
+        "optimize": (
+            0.06919249165934879,
+            (2.0491869547418506, 2.0491869547418506, 0.6048147232792571,
+             0.3547450114192271, 0.17208798795801347, 0.16312017396234485,
+             0.09405929591102896, 0.09404482299567515, 0.06919249165934879),
+        ),
+        "classical_csa": (
+            0.10061576166304365,
+            (2.0491869547418506, 1.5438924830746468, 0.7882188051540184,
+             0.7882188051540184, 0.7882188051540184, 0.7042113119469285,
+             0.14193386546639114, 0.14193386546639114, 0.10061576166304365),
+        ),
+        "random_search": (
+            0.5352117828471736,
+            (2.0491869547418506, 2.0491869547418506, 1.826169171465719,
+             1.826169171465719) + (0.5352117828471736,) * 5,
+        ),
+    }
 
     @pytest.mark.parametrize(
         "search, best, history",
@@ -361,9 +375,12 @@ class TestStreamPins:
         ],
     )
     def test_sphere(self, search, best, history):
+        raw_best, raw_history = self.RAW[search.__name__]
         result = search(sphere, EcsaConfig(**self.CONFIG))
-        assert result.best_fitness == best
-        assert result.fitness_history == history
+        assert result.best_fitness == raw_best
+        assert result.fitness_history == raw_history
+        unweighted = (np.array((best,) + history) - 0.1) / 0.9
+        assert np.array((raw_best,) + raw_history) == pytest.approx(unweighted, rel=1e-15)
 
     @pytest.mark.parametrize("search", [optimize, classical_csa, random_search])
     def test_nan_value_never_wins(self, search):
@@ -378,5 +395,5 @@ class TestStreamPins:
 
         result = search(objective, EcsaConfig(**self.CONFIG))
         assert np.all(np.isfinite(result.fitness_history))
-        assert result.best_fitness == np.nanmin(fitness(np.concatenate(evaluated)))
+        assert result.best_fitness == np.nanmin(np.concatenate(evaluated))
         assert math.isfinite(result.metadata["best_objective"])
