@@ -39,10 +39,12 @@ from .dematel import (
 from .ecsa import (
     EcsaConfig,
     OptimizationResult,
+    decay_coefficient,
     dynamic_awareness_probability,
     global_update,
     local_neighborhood_update,
     optimize,
+    reshuffle_neighborhoods,
 )
 from .errors import DataError, NumericalError, PipelineError, RiskfuseError
 from .fuzzy import (

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,9 +37,10 @@ Objective = Callable[[np.ndarray], "np.ndarray | float"]
 
 
 def _clamp(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """np.clip without its Python-level dispatch, which costs more than the
-    arithmetic of a crow move; the result is the same."""
-    return np.minimum(np.maximum(x, lower), upper)
+    """Clamp x to the box in place and return it: np.clip without its
+    Python-level dispatch, which costs more than the arithmetic of a crow
+    move; the result is the same."""
+    return np.minimum(np.maximum(x, lower, out=x), upper, out=x)
 
 
 def _read_only(values) -> np.ndarray:
@@ -64,10 +66,18 @@ class EcsaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 2:
             raise DataError(f"population_size must be >= 2, got {self.population_size}")
         if self.max_iterations < 1:
             raise DataError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        if not (0.0 <= self.flight_length < math.inf):
+            raise DataError(f"flight_length must be finite and >= 0, got {self.flight_length}")
         if not (0.0 <= self.ap_min < self.ap_max <= 1.0):
             raise DataError(
                 f"need 0 <= ap_min < ap_max <= 1, got ({self.ap_min}, {self.ap_max})"
@@ -76,6 +86,8 @@ class EcsaConfig:
         object.__setattr__(self, "bounds", bounds)
         if not bounds:
             raise DataError("bounds must cover at least one dimension")
+        if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in bounds):
+            raise DataError("every bound must be finite")
         if any(lo >= hi for lo, hi in bounds):
             raise DataError("every dimension needs lower < upper bound")
 
@@ -91,6 +103,13 @@ class EcsaConfig:
     @cached_property
     def upper(self) -> np.ndarray:
         return _read_only([hi for _, hi in self.bounds])
+
+    @cached_property
+    def awareness_by_rank(self) -> np.ndarray:
+        """Awareness probability of the crows ranked 1, 2, ..., N_p."""
+        return _read_only(
+            dynamic_awareness_probability(np.arange(1, self.population_size + 1), self)
+        )
 
     @property
     def evaluation_budget(self) -> int:
@@ -116,65 +135,67 @@ def _uniform(rng: np.random.Generator, shape, lower: np.ndarray, upper: np.ndarr
     return lower + rng.random(shape) * (upper - lower)
 
 
-def dynamic_awareness_probability(ranks: np.ndarray, config: EcsaConfig) -> list[float]:
+def dynamic_awareness_probability(ranks: np.ndarray, config: EcsaConfig) -> np.ndarray:
     """Awareness probability of each crow, given the crows' ranks.
 
     DAP = ap_min + (ap_max - ap_min) * rank / N_p, so the best crow
-    (rank 1) is the least aware and the worst crow the most.  Returned as
-    Python floats, which the per-crow draws compare against cheaply.
+    (rank 1) is the least aware and the worst crow the most.
     """
-    ranks = np.asarray(ranks).tolist()
+    ranks = np.asarray(ranks)
     n = config.population_size
-    if min(ranks) < 1 or max(ranks) > n:
-        raise DataError(f"ranks {ranks} outside 1..{n}")
-    span = config.ap_max - config.ap_min
-    return [config.ap_min + span * rank / n for rank in ranks]
+    if ranks.min() < 1 or ranks.max() > n:
+        raise DataError(f"ranks {ranks.tolist()} outside 1..{n}")
+    return config.ap_min + (config.ap_max - config.ap_min) * ranks / n
 
 
-def reshuffle_neighborhoods(n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Each of n crows' small static neighborhood, from a fresh shuffle.
+@lru_cache(maxsize=None)
+def _ring_slots(n: int) -> np.ndarray:
+    """(n, k) slots of each ring slot's neighborhood, from ``RING_REACH``
+    back to ``RING_REACH`` ahead, each slot once."""
+    offsets = dict.fromkeys(o % n for o in range(-RING_REACH, RING_REACH + 1))
+    slots = (np.arange(n)[:, None] + list(offsets)) % n
+    slots.flags.writeable = False
+    return slots
 
-    Crows are placed on a shuffled ring; a crow's neighborhood is itself
-    plus up to two ring neighbors on each side.
+
+def reshuffle_neighborhoods(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, k) neighborhoods of n crows from a fresh shuffle, k = min(n, 5).
+
+    Crows are placed on a shuffled ring; row j holds crow j's
+    neighborhood: the crows from two slots back to two slots ahead of it,
+    in ring order, each once (so a ring of fewer than 5 crows gives each
+    crow all of them).
     """
     order = rng.permutation(n)
-    slot_of = np.empty(n, dtype=int)
-    slot_of[order] = np.arange(n)
-    neighborhoods = []
-    for crow in range(n):
-        s = slot_of[crow]
-        slots = []
-        for offset in range(-RING_REACH, RING_REACH + 1):
-            slot = (s + offset) % n
-            if slot not in slots:
-                slots.append(slot)
-        neighborhoods.append(order[slots])
+    slots = _ring_slots(n)
+    neighborhoods = np.empty_like(slots)
+    neighborhoods[order] = order[slots]
     return neighborhoods
 
 
 def local_neighborhood_update(
-    position: np.ndarray,
-    neighborhood: np.ndarray,
+    positions: np.ndarray,
+    neighborhoods: np.ndarray,
+    picks: np.ndarray,
+    r: np.ndarray,
     memories: np.ndarray,
     flight_length: float,
-    rng: np.random.Generator,
-    lower: np.ndarray,
-    upper: np.ndarray,
 ) -> np.ndarray:
-    """Move a crow toward cached positions borrowed from its neighborhood.
+    """Move (crows, dim) positions toward memories borrowed from their
+    neighborhoods; not clamped.
 
-    For every dimension independently, a neighborhood member is drawn and
-    the coordinate of its memory (the position it caches food at, which
-    is what crows follow each other to) forms the guide g.  The crow moves
-    to x + r * fl * (g - x) with one r ~ U(0, 1) per move, drawn after the
-    neighbor picks (Askarzadeh 2016).  The result is clamped to the bounds.
+    For crow i and dimension d, ``picks[i, d]`` selects a member of row i
+    of ``neighborhoods``, and the coordinate d of that member's memory
+    (the position it caches food at, which is what crows follow each
+    other to) forms the guide g.  The crow moves to x + r * fl * (g - x)
+    with one r ~ U(0, 1) per crow, ``r[i]`` (Askarzadeh 2016).
     """
-    dim = position.shape[0]
-    picks = rng.integers(0, len(neighborhood), size=dim)
-    guides = memories[neighborhood[picks], np.arange(dim)]
-    step = flight_length * rng.random()
-    moved = position + step * (guides - position)
-    return _clamp(moved, lower, upper)
+    members = neighborhoods[np.arange(len(picks))[:, None], picks]
+    moved = memories[members, np.arange(positions.shape[1])]
+    moved -= positions
+    moved *= (flight_length * r)[:, None]
+    moved += positions
+    return moved
 
 
 def decay_coefficient(itr: int, max_itr: int) -> float:
@@ -188,33 +209,25 @@ def decay_coefficient(itr: int, max_itr: int) -> float:
 def global_update(
     best_position: np.ndarray,
     c1: float,
-    rng: np.random.Generator,
+    c2: np.ndarray,
+    side: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> np.ndarray:
-    """Relocate a crow around the global best.
+    """Relocate crows around the global best, one per row of the
+    (crows, dim) draws ``c2`` and ``side``; not clamped.
 
     Salp-swarm leader update (Mirjalili et al. 2017):
     best + s * c1 * c2 * (upper - lower), where c1 is the iteration's
     :func:`decay_coefficient`, c2 ~ U(0, 1) per dimension, and the side s
-    is drawn per dimension after c2 (+1 where a uniform draw is below
-    0.5, else -1).  Scaling by the box width keeps the move independent
-    of the box's units.  Clamped to the bounds.
+    is +1 where the uniform draw ``side`` is below 0.5, else -1.
+    Scaling by the box width keeps the move independent of the box's
+    units.
     """
-    dim = best_position.shape[0]
-    c2 = rng.random(dim)
     step = c1 * c2 * (upper - lower)
     # Subtracting the step signed like (draw - 0.5) adds it where the
     # draw is below 0.5 and subtracts it elsewhere.
-    moved = best_position - np.copysign(step, rng.random(dim) - 0.5)
-    return _clamp(moved, lower, upper)
-
-
-def _ranks_from_fitness(fitnesses: np.ndarray) -> np.ndarray:
-    order = np.argsort(fitnesses, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(1, len(order) + 1)
-    return ranks
+    return best_position - np.copysign(step, side - 0.5)
 
 
 class ObjectiveError(RiskfuseError):
@@ -234,7 +247,7 @@ def _evaluate(objective: Objective, positions: np.ndarray, itr: int) -> np.ndarr
         fits[:] = objective(positions)
     except Exception as exc:
         raise ObjectiveError(f"objective failed at iteration {itr}: {exc}") from exc
-    fits[np.isnan(fits)] = np.inf
+    np.copyto(fits, np.inf, where=np.isnan(fits))
     return fits
 
 
@@ -263,10 +276,10 @@ def _search(
             f"{len(initial_guesses)} initial guesses exceed the population size {n}"
         )
     for j, guess in enumerate(initial_guesses):
-        guess = np.clip(np.asarray(guess, dtype=float), lower, upper)
+        guess = np.asarray(guess, dtype=float)
         if guess.shape != (config.dim,):
             raise DataError(f"initial guess {j} has shape {guess.shape}, expected ({config.dim},)")
-        positions[j] = guess
+        positions[j] = np.clip(guess, lower, upper)
 
     memories = positions.copy()
     memory_fits = np.full(n, np.inf)
@@ -275,10 +288,9 @@ def _search(
         if itr:
             positions = move(config, rng, itr, positions, fits, memories, memories[best])
         fits = _evaluate(objective, positions, itr)
-        improved = fits < memory_fits
-        memory_fits[improved] = fits[improved]
-        memories[improved] = positions[improved]
-        best = int(np.argmin(memory_fits))
+        np.copyto(memories, positions, where=(fits < memory_fits)[:, None])
+        np.minimum(memory_fits, fits, out=memory_fits)
+        best = int(memory_fits.argmin())
         history.append(float(memory_fits[best]))
 
     return OptimizationResult(
@@ -297,36 +309,69 @@ def _search(
 def _ecsa_move(config, rng, itr, positions, fitnesses, memories, best):
     """Rank the crows by their fitness; each then follows its ring
     neighborhood, or, on an awareness draw below its probability,
-    relocates around the best memory."""
-    lower, upper = config.lower, config.upper
-    neighborhoods = reshuffle_neighborhoods(len(positions), rng)
-    awareness = dynamic_awareness_probability(_ranks_from_fitness(fitnesses), config)
-    c1 = decay_coefficient(itr, config.max_iterations)
-    moved = np.empty_like(positions)
-    for j, dap in enumerate(awareness):
-        if rng.random() >= dap:
-            moved[j] = local_neighborhood_update(
-                positions[j], neighborhoods[j], memories, config.flight_length, rng, lower, upper
-            )
+    relocates around the best memory.
+
+    Only the draws run per crow, in crow order: awareness, then the picks
+    and r of a local move, or c2 and the sides of a global move (one draw
+    of 2 dim uniforms gives the bits of two draws of dim).  Each move then
+    runs once over its crows, and one clamp covers both."""
+    n, dim = positions.shape
+    neighborhoods = reshuffle_neighborhoods(n, rng)
+    awareness = np.empty(n)
+    awareness[fitnesses.argsort(kind="stable")] = config.awareness_by_rank
+    k = neighborhoods.shape[1]
+    random, integers = rng.random, rng.integers
+    local, picks, r, relocated, draws = [], [], [], [], []
+    for j, dap in enumerate(awareness.tolist()):
+        if random() >= dap:
+            local.append(j)
+            picks.append(integers(0, k, size=dim))
+            r.append(random())
         else:
-            moved[j] = global_update(best, c1, rng, lower, upper)
-    return moved
+            relocated.append(j)
+            draws.append(random(2 * dim))
+    lower, upper = config.lower, config.upper
+    moved = np.empty_like(positions)
+    if local:
+        local = np.array(local)
+        moved[local] = local_neighborhood_update(
+            positions[local], neighborhoods[local], np.array(picks), np.array(r),
+            memories, config.flight_length,
+        )
+    if relocated:
+        draws = np.array(draws)
+        c1 = decay_coefficient(itr, config.max_iterations)
+        moved[np.array(relocated)] = global_update(
+            best, c1, draws[:, :dim], draws[:, dim:], lower, upper
+        )
+    return _clamp(moved, lower, upper)
 
 
 def _csa_move(config, rng, itr, positions, fitnesses, memories, best):
     """Each crow picks a random crow to follow toward its memory, or,
     when that crow is aware (fixed probability ``ap_min``), relocates
-    uniformly."""
-    n = len(positions)
+    uniformly.  The draws run per crow, in crow order; each move then
+    runs once over its crows."""
+    n, dim = positions.shape
     lower, upper = config.lower, config.upper
-    moved = np.empty_like(positions)
+    random, integers = rng.random, rng.integers
+    local, targets, r, relocated, draws = [], [], [], [], []
     for j in range(n):
-        target = int(rng.integers(0, n))
-        if rng.random() >= config.ap_min:
-            step = config.flight_length * rng.random()
-            moved[j] = positions[j] + step * (memories[target] - positions[j])
+        target = integers(0, n)
+        if random() >= config.ap_min:
+            local.append(j)
+            targets.append(target)
+            r.append(random())
         else:
-            moved[j] = _uniform(rng, config.dim, lower, upper)
+            relocated.append(j)
+            draws.append(random(dim))
+    moved = np.empty_like(positions)
+    if local:
+        here = positions[local]
+        step = config.flight_length * np.array(r)
+        moved[local] = here + step[:, None] * (memories[targets] - here)
+    if relocated:
+        moved[relocated] = lower + np.array(draws) * (upper - lower)
     return _clamp(moved, lower, upper)
 
 

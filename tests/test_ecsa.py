@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from riskfuse.ecsa import (
     EcsaConfig,
     ObjectiveError,
+    _clamp,
     classical_csa,
     decay_coefficient,
     dynamic_awareness_probability,
@@ -13,6 +15,7 @@ from riskfuse.ecsa import (
     local_neighborhood_update,
     optimize,
     random_search,
+    rastrigin,
     reshuffle_neighborhoods,
     sphere,
 )
@@ -30,18 +33,9 @@ def unit_config(dim=3, **overrides):
     return EcsaConfig(**defaults)
 
 
-class _ZeroRng:
-    """Stub generator: every uniform draw is 0."""
-
-    def random(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
-
-    def integers(self, low, high, size=None):
-        return low if size is None else np.full(size, low, dtype=int)
-
-
-class _QueueRng(_ZeroRng):
-    """Stub generator: uniform draws come from a queue of arrays, in order."""
+class _QueueRng:
+    """Stub generator: uniform draws come from a queue of arrays, in order;
+    every integer draw is the lowest value."""
 
     def __init__(self, *draws):
         self.draws = [np.asarray(d, dtype=float) for d in draws]
@@ -50,6 +44,9 @@ class _QueueRng(_ZeroRng):
         draw = self.draws.pop(0)
         assert draw.shape == (() if size is None else (size,))
         return draw
+
+    def integers(self, low, high, size=None):
+        return low if size is None else np.full(size, low, dtype=int)
 
 
 class TestConfig:
@@ -64,6 +61,24 @@ class TestConfig:
             unit_config(ap_min=0.5, ap_max=0.5)
         with pytest.raises(DataError):
             unit_config(bounds=((1.0, 0.0),))
+
+    @pytest.mark.parametrize("bound", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_bounds(self, bound):
+        with pytest.raises(DataError, match="finite"):
+            unit_config(bounds=((0.0, 1.0), bound))
+
+    @pytest.mark.parametrize("flight_length", [math.nan, math.inf, -0.5])
+    def test_bad_flight_length(self, flight_length):
+        with pytest.raises(DataError, match="flight_length"):
+            unit_config(flight_length=flight_length)
+
+    def test_fractional_population_size(self):
+        with pytest.raises(DataError, match="population_size must be an integer"):
+            unit_config(population_size=2.5)
+
+    def test_negative_seed(self):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            unit_config(seed=-1)
 
     def test_budget(self):
         config = unit_config(population_size=10, max_iterations=100)
@@ -130,13 +145,22 @@ class TestDynamicAwareness:
 
 def _move_first(positions, neighborhood, flight_length, rng):
     """Local move of crow 0 among crows whose memories are their
-    positions, in the unit box."""
+    positions, with the search's draws and clamp to the unit box."""
     positions = np.array(positions, dtype=float)
+    neighborhood = np.asarray(neighborhood)
     dim = positions.shape[1]
-    return local_neighborhood_update(
-        positions[0], np.asarray(neighborhood), positions, flight_length, rng,
-        np.zeros(dim), np.ones(dim),
+    picks = rng.integers(0, len(neighborhood), size=(1, dim))
+    r = np.array([rng.random()])
+    moved = local_neighborhood_update(
+        positions[:1], neighborhood[None], picks, r, positions, flight_length
     )
+    return _clamp(moved, np.zeros(dim), np.ones(dim))[0]
+
+
+def _relocate(best, c1, c2, side, lower, upper):
+    """Global move of one crow, with the search's clamp."""
+    moved = global_update(best, c1, np.array([c2]), np.array([side]), lower, upper)
+    return _clamp(moved, lower, upper)[0]
 
 
 class TestLocalUpdate:
@@ -166,8 +190,8 @@ class TestGlobalUpdate:
 
     def test_zero_step_returns_best(self):
         best = np.array([0.2, 0.8])
-        moved = global_update(
-            best, decay_coefficient(1, 10), rng=_ZeroRng(), lower=np.zeros(2), upper=np.ones(2)
+        moved = _relocate(
+            best, decay_coefficient(1, 10), np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2)
         )
         assert moved == pytest.approx(best)
 
@@ -175,8 +199,8 @@ class TestGlobalUpdate:
         lower, upper = np.array([0.0, 0.0, -10.0]), np.array([1.0, 4.0, 10.0])
         best = np.array([0.5, 2.0, 0.0])
         # c2 = 0.1 everywhere; direction draws put dimension 1 on the low side.
-        rng = _QueueRng([0.1, 0.1, 0.1], [0.2, 0.7, 0.2])
-        moved = global_update(best, decay_coefficient(0, 10), rng, lower, upper)
+        moved = _relocate(best, decay_coefficient(0, 10), [0.1, 0.1, 0.1], [0.2, 0.7, 0.2],
+                          lower, upper)
         # best + s * c1 * c2 * (upper - lower) with c1 = 2 at itr 0.
         assert moved == pytest.approx([0.5 + 0.2, 2.0 - 0.8, 0.0 + 4.0])
 
@@ -187,7 +211,8 @@ class TestGlobalUpdate:
     def test_bounded(self, rng):
         lower, upper = np.zeros(3), np.ones(3)
         for itr in (0, 3, 10):
-            moved = global_update(np.full(3, 0.9), decay_coefficient(itr, 10), rng, lower, upper)
+            moved = _relocate(np.full(3, 0.9), decay_coefficient(itr, 10),
+                              rng.random(3), rng.random(3), lower, upper)
             assert np.all(moved >= lower) and np.all(moved <= upper)
 
 
@@ -241,6 +266,11 @@ class TestOptimize:
         target = np.array([0.25, 0.5, 0.75])
         result = optimize(lambda x: sphere(x - target), config, initial_guesses=[target])
         assert result.metadata["best_objective"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_initial_guess_of_wrong_length(self):
+        config = unit_config(dim=3)
+        with pytest.raises(DataError, match=r"guess 0 has shape \(4,\), expected \(3,\)"):
+            optimize(sphere, config, initial_guesses=[np.zeros(4)])
 
     def test_objective_error_carries_context(self):
         config = unit_config()
@@ -397,3 +427,58 @@ class TestStreamPins:
         assert np.all(np.isfinite(result.fitness_history))
         assert result.best_fitness == np.nanmin(np.concatenate(evaluated))
         assert math.isfinite(result.metadata["best_objective"])
+
+
+def _digest(result):
+    """SHA-256 of a result's fitness history and best position, bit for bit."""
+    digest = hashlib.sha256(np.array(result.fitness_history).tobytes())
+    digest.update(result.best_position.tobytes())
+    return digest.hexdigest()
+
+
+class TestMovePins:
+    """Fixed-seed results recorded while every crow moved on its own, one
+    draw and one clamp at a time: the block moves keep each draw in its
+    place.  The benchmark's search shape (100-D box [-5.12, 5.12], 10
+    crows, 30 iterations) runs both ECSA moves many times; populations of
+    2 to 4 crows have rings shorter than five."""
+
+    @pytest.mark.parametrize(
+        "search, objective, best, digest",
+        [
+            (optimize, sphere, 207.93952765338753,
+             "0d40278f296b74e73b25bbd55293288e4c4b7853191c2991b13592b49627b402"),
+            (optimize, rastrigin, 1146.907901421143,
+             "94511f28cbc09d40ace063bfa4b5c001cd4c0f591d2cbca5fe5bec72c9f404e8"),
+            (classical_csa, sphere, 87.32987378650127,
+             "b9a8edf61b88192b669b81cfc9c1e1552a6bee436a7590df17472c06a85e7de8"),
+            (classical_csa, rastrigin, 1030.9397997588644,
+             "b7d650d6263098e3489e47ba25436ddb78e843094ceed313fc86576b25215649"),
+        ],
+    )
+    def test_benchmark_shape(self, search, objective, best, digest):
+        config = EcsaConfig(
+            bounds=((-5.12, 5.12),) * 100, population_size=10, max_iterations=30, seed=11
+        )
+        result = search(objective, config)
+        assert result.best_fitness == best
+        assert _digest(result) == digest
+
+    @pytest.mark.parametrize(
+        "population_size, best, digest",
+        [
+            (2, 2.957935869994058,
+             "1308f2f0aa907c833c6f53305a7c342980b17ab1ec363fe5bb7bc4154551eab1"),
+            (3, 2.002424640728959,
+             "3f36120de14dd56433c2e00463198cd51e1a1189fde1a929b1e39ffc8ad3a5af"),
+            (4, 0.6960932294933533,
+             "a212da3837c58c5dc400d03314ea602ddb2d5db56e53dbd2e8102b39258c99a4"),
+        ],
+    )
+    def test_short_ring(self, population_size, best, digest):
+        config = EcsaConfig(
+            bounds=((-2.0, 2.0),) * 3, population_size=population_size, max_iterations=8, seed=42
+        )
+        result = optimize(sphere, config)
+        assert result.best_fitness == best
+        assert _digest(result) == digest
