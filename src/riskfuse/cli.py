@@ -29,7 +29,7 @@ from .dataset import FeatureMapping, bundled_path, default_catalog, load_dataset
 from .dematel import aggregate_responses, evaluate as dematel_evaluate
 from .ecsa import BENCHMARKS, EcsaConfig, classical_csa, optimize, random_search
 from .errors import DataError, NumericalError, RiskfuseError
-from .fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue, TriangularFuzzyNumber
+from .fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue
 from .pipeline import cross_validate, prepare_samples, run_pipeline
 from .reporting import emit_report
 from .topsis import CriterionKind, IfDecisionMatrix, rank_weighted
@@ -79,16 +79,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return replace(config, seed=_resolve_seed(args, config.seed))
 
 
-def _parse_cell(cell):
-    if isinstance(cell, (int, float)):
-        return float(cell)
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, list) and len(cell) == 3:
-        return TriangularFuzzyNumber(*cell)
-    raise DataError(f"cannot interpret judgment cell {cell!r}")
-
-
 def _load_matrices(path: Path):
     """Respondent matrices JSON: optional scale, one grid per respondent."""
     if not path.is_file():
@@ -97,17 +87,12 @@ def _load_matrices(path: Path):
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        matrices = [
-            [[_parse_cell(cell) for cell in row] for row in matrix]
-            for matrix in payload["respondents"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: malformed respondent matrices ({exc})") from exc
+    if not (isinstance(payload, dict) and "respondents" in payload):
+        raise DataError(f"{path}: expected a JSON object with a 'respondents' list")
     scale = (
         _scale_from_dict(payload["scale"]) if "scale" in payload else DEFAULT_DEMATEL_SCALE
     )
-    return matrices, scale, payload.get("criteria")
+    return payload["respondents"], scale, payload.get("criteria")
 
 
 def _cmd_weights(args) -> int:

@@ -15,6 +15,7 @@ from numbers import Integral, Real
 from pathlib import Path
 
 from .dataset import DEFAULT_ORDINAL_VALUES
+from .ecsa import EcsaConfig
 from .errors import DataError
 from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale, TriangularFuzzyNumber
 from .topsis import CriterionKind
@@ -60,8 +61,7 @@ class PipelineConfig:
         levels = self.ordinal_values
         if not (isinstance(levels, dict) and all(map(_is_real, levels.values()))):
             raise DataError(f"ordinal_values must map levels to finite numbers, got {levels!r}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        self.ecsa_config(1)  # the crow-search constants' one check
         if not (0.0 < self.split_fraction < 1.0):
             raise DataError(
                 f"split_fraction must be inside (0, 1), got {self.split_fraction}"
@@ -87,6 +87,14 @@ class PipelineConfig:
         if self.coefficient_mode == "magnitude":
             return (10.0**-MAGNITUDE_DELTA, 10.0**MAGNITUDE_DELTA)
         return (-SIGNED_LIMIT, SIGNED_LIMIT)
+
+    def ecsa_config(self, dim: int) -> EcsaConfig:
+        """The crow-search constants, which share ``EcsaConfig``'s field
+        names, over a ``dim``-dimensional coefficient box."""
+        shared = [f.name for f in fields(EcsaConfig) if f.name != "bounds"]
+        return EcsaConfig(
+            bounds=(self.coefficient_bounds(),) * dim, **{k: getattr(self, k) for k in shared}
+        )
 
     def kinds_for(self, n_criteria: int) -> tuple[CriterionKind, ...]:
         if not self.criteria_kinds:
@@ -121,9 +129,11 @@ def _scale_from_dict(payload: dict) -> LinguisticScale:
 def config_from_dict(payload: dict) -> PipelineConfig:
     """Build a PipelineConfig from a parsed JSON document.
 
-    Unknown keys are rejected so typos do not silently fall back to
-    defaults.
+    The document must be a JSON object.  Unknown keys are rejected so
+    typos do not silently fall back to defaults.
     """
+    if not isinstance(payload, dict):
+        raise DataError(f"a configuration must be a JSON object, got {type(payload).__name__}")
     payload = dict(payload)
     kwargs = {}
     if "scale" in payload:

@@ -360,25 +360,6 @@ def map_ratings_to_features(
     return features
 
 
-def group_features(
-    record: ProjectRecord, catalog: CriteriaCatalog, mapping: FeatureMapping
-) -> np.ndarray:
-    """Per-group feature vector: mean of each group's resolvable codes.
-
-    Groups with no resolvable member (reuse risk on COCOMO-81 data) fall
-    back to the mapping's missing value, yielding a constant column.
-    """
-    values = []
-    for group in catalog.group_names():
-        resolvable = [c for c in catalog.groups[group] if catalog.columns.get(c)]
-        if not resolvable:
-            values.append(mapping.missing_value)
-            continue
-        member_values = map_ratings_to_features(record, catalog, mapping, tuple(resolvable))
-        values.append(float(member_values.mean()))
-    return np.array(values)
-
-
 def normalized_effort(record: ProjectRecord, mapping: FeatureMapping) -> float:
     """Actual effort scaled by the dataset maximum.
 

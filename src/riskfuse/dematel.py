@@ -9,20 +9,12 @@ and turns row/column prominence into priority weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .fuzzy import (
-    LinguisticScale,
-    TriangularFuzzyNumber,
-    cfcs_defuzzify,
-    tfn_from_linguistic,
-)
-
-# Judgment cells may be TFNs, linguistic labels, or plain numbers
-# (treated as degenerate TFNs).
-JudgmentCell = TriangularFuzzyNumber | str | float | int
+from .fuzzy import LinguisticScale, cfcs_defuzzify, tfn_from_linguistic
 
 FIXED_POINT_TOL = 1e-8
 
@@ -72,43 +64,45 @@ class DematelResult:
     weights: np.ndarray
 
 
-def _cell_to_tfn(cell: JudgmentCell, scale: LinguisticScale) -> TriangularFuzzyNumber:
-    if isinstance(cell, TriangularFuzzyNumber):
-        return cell
+def _judgment(cell, scale: LinguisticScale):
+    """One judgment cell as an (l, m, u) triple; ``check_tfn`` validates it."""
     if isinstance(cell, str):
         return tfn_from_linguistic(cell, scale)
-    return TriangularFuzzyNumber.crisp(float(cell))
+    triple = cell if isinstance(cell, (tuple, list)) and len(cell) == 3 else (cell,) * 3
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in triple):
+        raise DataError(f"cannot interpret judgment cell {cell!r}")
+    return triple
 
 
-def aggregate_responses(
-    matrices: list[list[list[JudgmentCell]]],
-    scale: LinguisticScale,
-) -> DirectRelationMatrix:
+def aggregate_responses(matrices: list, scale: LinguisticScale) -> DirectRelationMatrix:
     """Aggregate respondent judgment matrices into one crisp matrix.
 
-    Each cell of the result is the CFCS defuzzification of that cell's
-    judgments across all respondents (CFCS averages over respondents as
-    its final step).  Diagonals are forced to zero.
+    The grids become one (respondents, n, n, 3) TFN array, and each cell
+    of the result is the CFCS defuzzification of that cell's judgments
+    across all respondents (CFCS averages over respondents as its final
+    step).  Diagonals are forced to zero.
 
     Args:
-        matrices: one n-by-n grid per respondent; cells may be TFNs,
-            linguistic labels resolved through ``scale``, or numbers.
+        matrices: one n-by-n grid per respondent; cells may be TFNs or
+            ``[l, m, u]`` lists, linguistic labels resolved through
+            ``scale``, or numbers c (the crisp TFN (c, c, c)).
         scale: linguistic scale used to resolve label cells.
     """
-    if not matrices:
-        raise DataError("aggregate_responses needs at least one respondent matrix")
-    n = len(matrices[0])
-    for r, matrix in enumerate(matrices):
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise DataError(f"respondent {r}: matrix is not {n}x{n}")
-
-    crisp = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            judgments = [_cell_to_tfn(matrix[i][j], scale) for matrix in matrices]
-            crisp[i, j] = cfcs_defuzzify(judgments)
+    if isinstance(matrices, (str, dict)):
+        raise DataError(f"respondent matrices must be a list, got {type(matrices).__name__}")
+    try:
+        tfns = np.array(
+            [[[_judgment(cell, scale) for cell in row] for row in grid] for grid in matrices],
+            dtype=float,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"respondent matrices are not grids of judgment cells ({exc})") from None
+    if tfns.ndim != 4 or tfns.shape[1] != tfns.shape[2] or not tfns.size:
+        raise DataError(
+            f"need one n-by-n grid (n >= 1) per respondent, got shape {tfns.shape[:-1]}"
+        )
+    crisp = cfcs_defuzzify(tfns)
+    np.fill_diagonal(crisp, 0.0)
     return DirectRelationMatrix(entries=crisp, respondent_count=len(matrices))
 
 
@@ -179,7 +173,14 @@ def priority_weights(r: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def evaluate(s: DirectRelationMatrix) -> DematelResult:
-    """Run the full DEMATEL chain on a crisp direct-relation matrix."""
+    """Run the full DEMATEL chain on a crisp direct-relation matrix.
+
+    A lone criterion relates to nothing: it takes the full weight, and
+    its relation matrices and sums are zero.
+    """
+    if s.size == 1:
+        zero, zeros = np.zeros((1, 1)), np.zeros(1)
+        return DematelResult(zero, zero, zeros, zeros, zeros, zeros, weights=np.ones(1))
     q = normalize_direct_matrix(s)
     t = total_relation_matrix(q)
     r_row, c_col = prominence_relation(t)

@@ -8,10 +8,8 @@ with the product operator needed for weighted decision matrices.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -21,22 +19,54 @@ from .errors import DataError
 IFV_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TriangularFuzzyNumber:
-    """Triangular fuzzy number (l, m, u) with l <= m <= u."""
+def _checked_triples(cells: ArrayLike, kind: str, faults) -> np.ndarray:
+    """``cells`` as a float (..., 3) array that ``faults`` accepts.
 
-    l: float
-    m: float
-    u: float
+    ``faults(cells, first, second, third)`` gives (mask, description)
+    pairs over the cells; the first cell a mask flags raises DataError.
+    """
+    try:
+        cells = np.asarray(cells, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{kind} cells must be numeric triples ({exc})") from None
+    if cells.shape[-1:] != (3,):
+        raise DataError(f"{kind} cells need a last axis of 3, got shape {cells.shape}")
+    for bad, what in faults(cells, *np.moveaxis(cells, -1, 0)):
+        if bad.any():
+            where = tuple(int(i) for i in np.argwhere(bad)[0])
+            at = f" at {where}" if where else ""
+            raise DataError(f"{kind} cell {tuple(cells[where].tolist())}{at} has {what}")
+    return cells
 
-    def __post_init__(self):
-        for name, value in (("l", self.l), ("m", self.m), ("u", self.u)):
-            if not math.isfinite(value):
-                raise DataError(f"TFN component {name} must be finite, got {value!r}")
-        if not (self.l <= self.m <= self.u):
-            raise DataError(
-                f"TFN requires l <= m <= u, got ({self.l}, {self.m}, {self.u})"
-            )
+
+def check_tfn(cells: ArrayLike) -> np.ndarray:
+    """Validate triangular fuzzy cells (..., 3) = (l, m, u).
+
+    The one check of the TFN invariants: finite components with
+    l <= m <= u.  Returns the cells as a float array.
+    """
+    return _checked_triples(cells, "TFN (l, m, u)", lambda c, l, m, u: (
+        (~np.isfinite(c).all(axis=-1), "a non-finite component"),
+        (~((l <= m) & (m <= u)), "not l <= m <= u"),
+    ))
+
+
+class TriangularFuzzyNumber(namedtuple("TriangularFuzzyNumber", "l m u")):
+    """Triangular fuzzy number (l, m, u) with l <= m <= u.
+
+    A validated triple, checked by ``check_tfn``.  Being a tuple, nested
+    sequences of numbers convert with ``np.asarray(..., float)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, l: float, m: float, u: float):
+        return super().__new__(cls, *check_tfn((l, m, u)).tolist())
+
+    @classmethod
+    def _make(cls, iterable) -> "TriangularFuzzyNumber":
+        # namedtuple's _make (and so _replace) skips __new__; validate here too.
+        return cls(*iterable)
 
     def scaled(self, factor: float) -> "TriangularFuzzyNumber":
         """Return the TFN with every component multiplied by a positive factor."""
@@ -110,39 +140,38 @@ def tfn_from_linguistic(label: str, scale: LinguisticScale) -> TriangularFuzzyNu
     return scale.tfns[index]
 
 
-def cfcs_defuzzify(judgments: Sequence[TriangularFuzzyNumber]) -> float:
-    """Convert a group of triangular fuzzy judgments into one crisp score.
+def cfcs_defuzzify(judgments: ArrayLike) -> np.ndarray:
+    """Convert the respondents' triangular fuzzy judgments into crisp scores.
 
-    Implements the five-step CFCS procedure: normalize l/m/u over the span
-    of all judgments, compute left and right normalized scores, combine
-    them into a total normalized crisp value, rescale back, and average
-    over the judgments.  The result always lies within [min l, max u].
+    Implements the five-step CFCS procedure per cell: normalize l/m/u
+    over the span of the cell's judgments, compute left and right
+    normalized scores, combine them into a total normalized crisp value,
+    rescale back, and average over the respondents.  Each score lies
+    within [min l, max u] of its cell.
 
     Args:
-        judgments: non-empty sequence of TFNs (one per respondent).
+        judgments: TFN cells (respondents, ..., 3); the first axis holds
+            one judgment per respondent.
 
     Returns:
-        Crisp score aggregating the judgments.
+        One crisp score per cell, of shape ``judgments.shape[1:-1]``.
     """
-    if not judgments:
-        raise DataError("cfcs_defuzzify requires at least one judgment")
-    lo = min(t.l for t in judgments)
-    hi = max(t.u for t in judgments)
+    tfns = check_tfn(judgments)
+    if tfns.ndim < 2 or not len(tfns):
+        raise DataError("cfcs_defuzzify requires at least one judgment per cell")
+    lo = tfns[..., 0].min(axis=0)
+    hi = tfns[..., 2].max(axis=0)
     span = hi - lo
-    if span == 0.0:
-        # Every judgment is the same degenerate TFN; it is already crisp.
-        return judgments[0].m
-
-    crisp_sum = 0.0
-    for t in judgments:
-        xl = (t.l - lo) / span
-        xm = (t.m - lo) / span
-        xu = (t.u - lo) / span
-        left = xm / (1.0 + xm - xl)
-        right = xu / (1.0 + xu - xm)
-        total = (left * (1.0 - left) + right * right) / (1.0 - left + right)
-        crisp_sum += lo + total * span
-    return crisp_sum / len(judgments)
+    # A zero span means every judgment is the same degenerate TFN; it is
+    # already crisp.
+    constant = span == 0.0
+    span = np.where(constant, 1.0, span)
+    xl, xm, xu = ((tfns[..., k] - lo) / span for k in range(3))
+    left = xm / (1.0 + xm - xl)
+    right = xu / (1.0 + xu - xm)
+    total = (left * (1.0 - left) + right * right) / (1.0 - left + right)
+    crisp = (lo + total * span).sum(axis=0) / len(tfns)
+    return np.where(constant, tfns[0, ..., 1], crisp)
 
 
 def check_ifv(cells: ArrayLike) -> np.ndarray:
@@ -152,26 +181,11 @@ def check_ifv(cells: ArrayLike) -> np.ndarray:
     component in [0, 1], mu + nu <= 1 and pi = 1 - mu - nu.  Returns the
     cells as a float array.
     """
-    try:
-        cells = np.asarray(cells, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"IF cells must be numeric (mu, nu, pi) triples ({exc})") from None
-    if cells.shape[-1:] != (3,):
-        raise DataError(f"IF cells need a last axis of (mu, nu, pi), got shape {cells.shape}")
-    mu, nu, pi = cells[..., 0], cells[..., 1], cells[..., 2]
-    in_range = ((cells >= -IFV_TOL) & (cells <= 1.0 + IFV_TOL)).all(axis=-1)
-    faults = (
-        (~in_range, "a component outside [0, 1]"),
+    return _checked_triples(cells, "IF (mu, nu, pi)", lambda c, mu, nu, pi: (
+        (~((c >= -IFV_TOL) & (c <= 1.0 + IFV_TOL)).all(axis=-1), "a component outside [0, 1]"),
         (mu + nu > 1.0 + IFV_TOL, "mu + nu > 1"),
         (np.abs(pi - (1.0 - mu - nu)) > IFV_TOL, "pi inconsistent with 1 - mu - nu"),
-    )
-    for bad, what in faults:
-        if bad.any():
-            where = tuple(int(i) for i in np.argwhere(bad)[0])
-            at = f" at {where}" if where else ""
-            cell = tuple(cells[where].tolist())
-            raise DataError(f"IF cell (mu, nu, pi) = {cell}{at} has {what}")
-    return cells
+    ))
 
 
 def lift_crisp(values: ArrayLike) -> np.ndarray:

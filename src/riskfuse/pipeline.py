@@ -21,11 +21,10 @@ from .dataset import (
     FeatureMapping,
     ProjectRecord,
     default_catalog,
-    group_features,
     map_ratings_to_features,
     normalized_effort,
 )
-from .ecsa import EcsaConfig, optimize
+from .ecsa import optimize
 from .errors import DataError, PipelineError, RiskfuseError
 from .fuzzy import lift_crisp
 from .topsis import IfDecisionMatrix, lift_crisp_weights
@@ -161,23 +160,14 @@ def tune_anfis_with_ecsa(
     base_model = replace(base_model, diagnostics=())
     objective = anfis.scaling_objective(base_model, train)
     n_coeff = base_model.n_parameters
-    lo, hi = config.coefficient_bounds()
     identity = np.ones(n_coeff)
 
+    search = config.ecsa_config(n_coeff)
     run_seeds = np.random.SeedSequence(config.seed).generate_state(config.runs)
     run_stats: list[dict] = []
     kept: list[tuple[anfis.AnfisModel, np.ndarray]] = []
     for run_index, run_seed in enumerate(run_seeds):
-        ecsa_config = EcsaConfig(
-            bounds=((lo, hi),) * n_coeff,
-            population_size=config.population_size,
-            max_iterations=config.max_iterations,
-            flight_length=config.flight_length,
-            ap_min=config.ap_min,
-            ap_max=config.ap_max,
-            seed=int(run_seed),
-        )
-        result = optimize(objective, ecsa_config, initial_guesses=[identity])
+        result = optimize(objective, replace(search, seed=int(run_seed)), initial_guesses=[identity])
         candidate = anfis.fit_consequents_ridge(
             anfis.apply_parameter_scaling(base_model, result.best_position), train
         )
@@ -267,60 +257,42 @@ def aggregate_risk(w: np.ndarray, f: np.ndarray) -> float:
     return float(w @ f)
 
 
-def _factor_probes(
-    features: np.ndarray, owners: list[list[int]]
-) -> list[np.ndarray]:
-    """One probe vector per factor: dataset-mean features with the
-    factor's own components stressed to their observed maximum."""
-    mean = features.mean(axis=0)
-    peaks = features.max(axis=0)
-    probes = []
-    for owned in owners:
-        probe = mean.copy()
-        for column in owned:
-            probe[column] = peaks[column]
-        probes.append(probe)
-    return probes
-
-
-def _feature_owners(
-    catalog: CriteriaCatalog, mode: str
-) -> tuple[list[str], list[list[int]]]:
-    """Feature column names plus, per criterion group, the columns it owns."""
-    groups = list(catalog.group_names())
-    if mode == "groups":
-        return groups, [[i] for i in range(len(groups))]
-    codes = list(catalog.resolvable_codes())
-    owners = [
-        [codes.index(c) for c in catalog.groups[g] if c in codes] for g in groups
-    ]
-    return codes, owners
-
-
 def prepare_samples(
     records: list[ProjectRecord],
     catalog: CriteriaCatalog,
     mapping: FeatureMapping,
     mode: str,
-) -> tuple[list[Sample], np.ndarray, list[list[int]]]:
+) -> tuple[list[Sample], np.ndarray, np.ndarray]:
     """Turn records into (features, target) samples plus the full feature
-    matrix and, per criterion group, the feature columns it owns."""
+    matrix and a (groups, features) mask of the columns each criterion
+    group owns.
+
+    The feature table holds one column per resolvable catalog code.  In
+    ``groups`` mode each group's feature is the mean of its columns; a
+    group with none (reuse risk on COCOMO-81 data) reads the mapping's
+    missing value, a constant column.
+    """
     usable = [r for r in records if r.effort is not None]
     if not usable:
         raise DataError("no records carry an effort value to learn from")
-    _, owners = _feature_owners(catalog, mode)
-    rows = []
-    for record in usable:
-        if mode == "groups":
-            rows.append(group_features(record, catalog, mapping))
-        else:
-            rows.append(map_ratings_to_features(record, catalog, mapping))
-    features = np.array(rows)
+    codes = catalog.resolvable_codes()
+    features = np.array([map_ratings_to_features(r, catalog, mapping, codes) for r in usable])
+    owned = np.array(
+        [[code in catalog.groups[group] for code in codes] for group in catalog.groups],
+        dtype=bool,
+    )
+    if mode == "groups":
+        features = np.column_stack([
+            features[:, columns].mean(axis=1) if columns.any()
+            else np.full(len(usable), mapping.missing_value)
+            for columns in owned
+        ])
+        owned = np.eye(len(owned), dtype=bool)
     samples = [
         (features[i], normalized_effort(record, mapping))
         for i, record in enumerate(usable)
     ]
-    return samples, features, owners
+    return samples, features, owned
 
 
 def run_pipeline(
@@ -340,25 +312,21 @@ def run_pipeline(
 
     # DEMATEL criterion weights.
     try:
-        if not respondent_matrices:
-            raise DataError("no respondent matrices supplied")
         s = dematel.aggregate_responses(respondent_matrices, config.scale)
         if s.size != n:
             raise DataError(
                 f"judgment matrices are {s.size}x{s.size} but the catalog "
                 f"defines {n} criteria"
             )
-        # A lone criterion has an all-diagonal judgment matrix; it gets
-        # the full weight without the (degenerate) total-relation solve.
-        dematel_result = dematel.evaluate(s) if n > 1 else None
+        dematel_result = dematel.evaluate(s)
     except RiskfuseError as exc:
         raise PipelineError("dematel", str(exc)) from exc
-    weights = dematel_result.weights if dematel_result else np.array([1.0])
+    weights = dematel_result.weights
 
     # Feature extraction.
     try:
         mapping = FeatureMapping.fit(records, config.ordinal_values, config.missing_value)
-        samples, features, owners = prepare_samples(
+        samples, features, owned = prepare_samples(
             records, catalog, mapping, config.anfis_inputs
         )
     except RiskfuseError as exc:
@@ -388,7 +356,9 @@ def run_pipeline(
 
     # Potential scores per risk factor.
     try:
-        probes = _factor_probes(features, owners)
+        # Each factor's probe: dataset-mean features with the factor's
+        # own columns stressed to their observed maximum.
+        probes = np.where(owned, features.max(axis=0), features.mean(axis=0))
         f = potential_scores(model, probes)
     except RiskfuseError as exc:
         raise PipelineError("scores", str(exc)) from exc
@@ -396,10 +366,9 @@ def run_pipeline(
     # Intuitionistic TOPSIS ranking of the factors.
     try:
         kinds = config.kinds_for(n)
-        if dematel_result is not None:
-            evidence = dematel_result.t / dematel_result.t.max()
-        else:
-            evidence = np.ones((n, n))
+        # A lone criterion's total relation is zero: full evidence.
+        t = dematel_result.t
+        evidence = t / t.max() if n > 1 else np.ones((n, n))
         raw_matrix = IfDecisionMatrix(
             rows=lift_crisp(np.clip(f, 0.0, 1.0)[:, None] * evidence), criteria_kinds=kinds
         )
@@ -416,14 +385,14 @@ def run_pipeline(
 
     intermediates = {
         "direct_relation": s.entries.tolist(),
-        "normalized_relation": dematel_result.q.tolist() if dematel_result else [[0.0]],
-        "total_relation": dematel_result.t.tolist() if dematel_result else [[0.0]],
-        "prominence": dematel_result.prominence.tolist() if dematel_result else [0.0],
-        "relation": dematel_result.relation.tolist() if dematel_result else [0.0],
+        "normalized_relation": dematel_result.q.tolist(),
+        "total_relation": dematel_result.t.tolist(),
+        "prominence": dematel_result.prominence.tolist(),
+        "relation": dematel_result.relation.tolist(),
         "raw_if_matrix": raw_matrix.rows.tolist(),
         "weighted_if_matrix": weighted_matrix.rows.tolist(),
         "criteria_kinds": [k.value for k in kinds],
-        "factor_probes": [p.tolist() for p in probes],
+        "factor_probes": probes.tolist(),
         "model": anfis.model_to_dict(model),
     }
     metadata = {

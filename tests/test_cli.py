@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskfuse.cli import cli_main
 from riskfuse.dataset import bundled_path
 from riskfuse.errors import NumericalError
+from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE
 
 
 @pytest.fixture
@@ -41,6 +43,56 @@ class TestWeightsCommand:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["total_relation"] == [[1.0, 2.0], [1.0, 1.0]]
+
+
+    def test_lone_criterion_takes_full_weight(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"respondents": [[["No influence"]], [[0]]]}))
+        assert cli_main(["weights", "--matrices", str(path)]) == 0
+        assert "w = [1.0]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "respondents",
+        [[[]], [[[0, True], [1, 0]]], {"a": 1}, [[[0, [1, 2]], [1, 0]]], [[[0, None], [1, 0]]]],
+        ids=["empty-grid", "bool-cell", "object", "short-tfn", "null-cell"],
+    )
+    def test_malformed_grids_are_data_errors(self, respondents, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"respondents": respondents}))
+        assert cli_main(["weights", "--matrices", str(path)]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+
+# Leaves of arbitrary respondents JSON: the scale's labels and unknown
+# text, numbers of every kind JSON can carry, booleans and null.
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(DEFAULT_DEMATEL_SCALE.labels + ("Purple", ""))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _grids(draw):
+    """Near-valid respondents: k grids of n x n cells, some of them TFNs."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cell = _JSON_LEAVES | st.lists(st.floats(-1, 2), min_size=2, max_size=4)
+    return [[[draw(cell) for _ in range(n)] for _ in range(n)] for _ in range(k)]
+
+
+class TestRespondentBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(respondents=_JSON_VALUES | _grids())
+    def test_every_input_exits_cleanly(self, respondents, tmp_path_factory):
+        path = tmp_path_factory.mktemp("respondents") / "m.json"
+        path.write_text(json.dumps({"respondents": respondents}))
+        assert cli_main(["weights", "--matrices", str(path)]) in (0, 2, 3)
 
 
 class TestRankCommand:
@@ -105,6 +157,16 @@ class TestExitCodes:
         path = tmp_path / "uniform.json"
         path.write_text(json.dumps(matrices))
         assert cli_main(["weights", "--matrices", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "payload", ["ab", 3, None, [], [["runs", 1]]],
+        ids=["string", "number", "null", "empty-list", "pair-list"],
+    )
+    def test_config_must_be_object(self, payload, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["--config", str(path), "pipeline"]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_wrong_config_type_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -8,12 +8,12 @@ from riskfuse.dataset import (
     CriteriaCatalog,
     ProjectRecord,
     bundled_path,
-    group_features,
     load_dataset,
     map_ratings_to_features,
     normalized_effort,
 )
 from riskfuse.errors import DataError
+from riskfuse.pipeline import prepare_samples
 from riskfuse.topsis import CriterionKind
 
 
@@ -138,13 +138,34 @@ class TestFeatureMapping:
     def test_group_features_shape_and_constant_reuse_group(
         self, nasa_records, catalog, mapping
     ):
-        vectors = np.array(
-            [group_features(r, catalog, mapping) for r in nasa_records]
-        )
+        _, vectors, _ = prepare_samples(nasa_records, catalog, mapping, "groups")
         assert vectors.shape == (93, 6)
         assert np.all(vectors >= 0.0) and np.all(vectors <= 1.0)
         # group U (reuse) has no COCOMO-81 column: constant fallback
         assert np.ptp(vectors[:, 5]) == 0.0
+
+    def test_group_features_match_per_record_loop(self, nasa_records, catalog, mapping):
+        """Each group feature is the mean of the group's resolvable codes,
+        computed per record and per group, bit for bit."""
+        _, features, _ = prepare_samples(nasa_records, catalog, mapping, "groups")
+        rows = []
+        for record in nasa_records:
+            row = []
+            for group in catalog.group_names():
+                members = tuple(c for c in catalog.groups[group] if catalog.columns.get(c))
+                values = map_ratings_to_features(record, catalog, mapping, members)
+                row.append(float(values.mean()) if members else mapping.missing_value)
+            rows.append(row)
+        assert features.tobytes() == np.array(rows).tobytes()
+
+    def test_code_features_and_owned_columns(self, nasa_records, catalog, mapping):
+        _, features, owned = prepare_samples(nasa_records, catalog, mapping, "codes")
+        table = np.array([map_ratings_to_features(r, catalog, mapping) for r in nasa_records])
+        assert features.tobytes() == table.tobytes()
+        codes = catalog.resolvable_codes()
+        assert [[codes[i] for i in np.flatnonzero(row)] for row in owned] == [
+            [c for c in catalog.groups[g] if c in codes] for g in catalog.group_names()
+        ]
 
     def test_normalized_effort_positive(self, nasa_records, mapping):
         values = [normalized_effort(r, mapping) for r in nasa_records]
@@ -212,6 +233,14 @@ class TestConfig:
         ],
     )
     def test_wrong_value_types_rejected(self, payload):
+        with pytest.raises(DataError, match=next(iter(payload))):
+            config_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"population_size": 1}, {"flight_length": -1}, {"ap_min": 0.9}, {"max_iterations": 0}],
+    )
+    def test_search_constants_checked_at_load(self, payload):
         with pytest.raises(DataError, match=next(iter(payload))):
             config_from_dict(payload)
 

@@ -11,9 +11,39 @@ from riskfuse.dematel import (
     total_relation_matrix,
 )
 from riskfuse.errors import DataError, NumericalError
-from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, TriangularFuzzyNumber
+from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, TriangularFuzzyNumber, tfn_from_linguistic
 
 TFN = TriangularFuzzyNumber
+
+
+def scalar_cfcs(judgments):
+    """Reference CFCS of one cell: the five steps, one judgment at a time."""
+    lo = min(t[0] for t in judgments)
+    hi = max(t[2] for t in judgments)
+    span = hi - lo
+    if span == 0.0:
+        return judgments[0][1]
+    crisp_sum = 0.0
+    for l, m, u in judgments:
+        xl, xm, xu = (l - lo) / span, (m - lo) / span, (u - lo) / span
+        left = xm / (1.0 + xm - xl)
+        right = xu / (1.0 + xu - xm)
+        total = (left * (1.0 - left) + right * right) / (1.0 - left + right)
+        crisp_sum += lo + total * span
+    return crisp_sum / len(judgments)
+
+
+def random_cell(rng):
+    """A label, an int, a float, a TFN or an [l, m, u] list."""
+    kind = rng.integers(0, 5)
+    if kind == 0:
+        return str(rng.choice(DEFAULT_DEMATEL_SCALE.labels))
+    if kind == 1:
+        return int(rng.integers(0, 5))
+    if kind == 2:
+        return float(rng.random() * 4)
+    l, a, b = (float(v) for v in rng.random(3))
+    return TFN(l, l + a, l + a + b) if kind == 3 else [l, l + a, l + a + b]
 
 
 def make_drm(entries):
@@ -74,6 +104,23 @@ class TestAggregateResponses:
         matrix = [[0, "Very high"], [2, 0]]
         result = aggregate_responses([matrix], DEFAULT_DEMATEL_SCALE)
         assert result.entries[1, 0] == pytest.approx(2.0)
+
+    def test_matches_scalar_cfcs_on_mixed_grids(self, rng):
+        def triple(cell):
+            if isinstance(cell, str):
+                return tfn_from_linguistic(cell, DEFAULT_DEMATEL_SCALE)
+            return cell if isinstance(cell, (tuple, list)) else (cell, cell, cell)
+
+        for _ in range(200):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+            grids = [[[random_cell(rng) for _ in range(n)] for _ in range(n)] for _ in range(k)]
+            entries = aggregate_responses(grids, DEFAULT_DEMATEL_SCALE).entries
+            expected = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        expected[i, j] = scalar_cfcs([triple(g[i][j]) for g in grids])
+            assert entries.tobytes() == expected.tobytes()
 
     def test_shape_mismatch_and_empty(self):
         with pytest.raises(DataError):
@@ -192,6 +239,12 @@ class TestEndToEnd:
         entries[0, 1] += 1e-6  # break the exact symmetry
         result = evaluate(make_drm(entries))
         assert result.weights == pytest.approx(np.full(4, 0.25), abs=1e-5)
+
+    def test_lone_criterion(self):
+        result = evaluate(make_drm([[0.0]]))
+        assert result.weights.tolist() == [1.0]
+        assert result.q.tolist() == result.t.tolist() == [[0.0]]
+        assert result.prominence.tolist() == result.relation.tolist() == [0.0]
 
     def test_exact_uniform_is_singular(self):
         # A perfectly uniform matrix normalizes to spectral radius 1; the

@@ -10,6 +10,7 @@ from riskfuse.fuzzy import (
     LinguisticScale,
     TriangularFuzzyNumber,
     cfcs_defuzzify,
+    check_tfn,
     ifv_multiply,
     tfn_from_linguistic,
 )
@@ -43,6 +44,13 @@ class TestTriangularFuzzyNumber:
             TFN(0.0, 0.5, math.inf)
         with pytest.raises(DataError):
             TFN(math.nan, 0.5, 1.0)
+
+    def test_check_tfn_names_first_bad_cell(self):
+        cells = [[[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], [[0.0, 0.5, 1.0], [0.6, 0.5, 1.0]]]
+        with pytest.raises(DataError, match=r"\(1, 1\) has not l <= m <= u"):
+            check_tfn(cells)
+        with pytest.raises(DataError, match="last axis"):
+            check_tfn([[0.0, 0.5]])
 
     def test_scaled(self):
         assert TFN(0.0, 0.5, 1.0).scaled(3.0) == TFN(0.0, 1.5, 3.0)
