@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, read_json
 
 # Subtractive clustering constants (standard defaults).
 SQUASH_FACTOR = 1.25
@@ -443,4 +443,4 @@ def save_model(model: AnfisModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> AnfisModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(read_json(path, "model"))

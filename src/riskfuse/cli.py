@@ -28,8 +28,8 @@ from .config import PipelineConfig, _scale_from_dict, load_config
 from .dataset import FeatureMapping, bundled_path, default_catalog, load_dataset
 from .dematel import aggregate_responses, evaluate as dematel_evaluate
 from .ecsa import BENCHMARKS, EcsaConfig, classical_csa, optimize, random_search
-from .errors import DataError, NumericalError, RiskfuseError
-from .fuzzy import DEFAULT_DEMATEL_SCALE, IntuitionisticFuzzyValue
+from .errors import DataError, NumericalError, RiskfuseError, read_json
+from .fuzzy import IntuitionisticFuzzyValue, LinguisticScale
 from .pipeline import cross_validate, prepare_samples, run_pipeline
 from .reporting import emit_report
 from .topsis import CriterionKind, IfDecisionMatrix, rank_weighted
@@ -79,25 +79,32 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return replace(config, seed=_resolve_seed(args, config.seed))
 
 
-def _load_matrices(path: Path):
-    """Respondent matrices JSON: optional scale, one grid per respondent."""
-    if not path.is_file():
-        raise DataError(f"matrices file not readable: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+def _check_names(values, n: int, what: str) -> list[str] | None:
+    """``values`` when absent (None) or a list of ``n`` strings."""
+    if values is not None and not (
+        isinstance(values, list) and len(values) == n and all(isinstance(v, str) for v in values)
+    ):
+        raise DataError(f"{what} must be a list of {n} strings")
+    return values
+
+
+def _load_matrices(path: Path, scale: LinguisticScale):
+    """Respondent matrices JSON: one grid per respondent, optional
+    criterion names and an optional scale, which replaces ``scale``."""
+    payload = read_json(path, "matrices")
     if not (isinstance(payload, dict) and "respondents" in payload):
         raise DataError(f"{path}: expected a JSON object with a 'respondents' list")
-    scale = (
-        _scale_from_dict(payload["scale"]) if "scale" in payload else DEFAULT_DEMATEL_SCALE
-    )
+    if "scale" in payload:
+        scale = _scale_from_dict(payload["scale"])
     return payload["respondents"], scale, payload.get("criteria")
 
 
 def _cmd_weights(args) -> int:
-    matrices, scale, criteria = _load_matrices(Path(args.matrices))
-    result = dematel_evaluate(aggregate_responses(matrices, scale))
+    config = _load_pipeline_config(args)
+    matrices, scale, criteria = _load_matrices(Path(args.matrices), config.scale)
+    s = aggregate_responses(matrices, scale)
+    criteria = _check_names(criteria, s.size, "criteria")
+    result = dematel_evaluate(s)
     if criteria:
         print("criteria:", ", ".join(criteria))
     print("w =", _format_vector(result.weights))
@@ -133,25 +140,16 @@ def _cmd_tune(args) -> int:
 
 def _cmd_rank(args) -> int:
     path = Path(args.matrix)
-    if not path.is_file():
-        raise DataError(f"matrix file not readable: {path}")
+    payload = read_json(path, "matrix")
     try:
-        payload = json.loads(path.read_text())
         kinds = tuple(CriterionKind(k) for k in payload["criteria_kinds"])
         rows = [[IntuitionisticFuzzyValue(*cell) for cell in row] for row in payload["cells"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed weighted IF matrix ({exc})") from exc
     matrix = IfDecisionMatrix(rows=rows, criteria_kinds=kinds)
-    names = payload.get("names") or [f"A{i}" for i in range(matrix.n_alternatives)]
-    if not (
-        isinstance(names, list)
-        and len(names) == matrix.n_alternatives
-        and all(isinstance(name, str) for name in names)
-    ):
-        raise DataError(
-            f"{path}: names must be a list of {matrix.n_alternatives} strings, "
-            "one per alternative"
-        )
+    names = _check_names(payload.get("names"), matrix.n_alternatives, "names") or [
+        f"A{i}" for i in range(matrix.n_alternatives)
+    ]
     xi, ranking = rank_weighted(matrix)
     print("xi =", _format_vector(xi))
     print("ranking:", " > ".join(names[i] for i in ranking))
@@ -163,9 +161,8 @@ def _cmd_pipeline(args) -> int:
     data_path = Path(args.data) if args.data else bundled_path("nasa93.arff")
     matrices_path = Path(args.matrices) if args.matrices else bundled_path("respondents.json")
     records = load_dataset(data_path, args.data_format)
-    matrices, scale, _ = _load_matrices(matrices_path)
-    config = replace(config, scale=scale) if args.matrices else config
-    report = run_pipeline(records, matrices, config)
+    matrices, scale, _ = _load_matrices(matrices_path, config.scale)
+    report = run_pipeline(records, matrices, replace(config, scale=scale))
 
     print("criteria:", ", ".join(report.criteria))
     print("w =", _format_vector(report.weights))
@@ -277,7 +274,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RiskfuseError, KeyError, OSError) as exc:
+    except (RiskfuseError, OSError) as exc:
         if _numerical_cause(exc):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 3

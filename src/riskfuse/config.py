@@ -8,7 +8,6 @@ mapping, and the TOPSIS criteria kinds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -16,7 +15,7 @@ from pathlib import Path
 
 from .dataset import DEFAULT_ORDINAL_VALUES
 from .ecsa import EcsaConfig
-from .errors import DataError
+from .errors import DataError, read_json
 from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale, TriangularFuzzyNumber
 from .topsis import CriterionKind
 
@@ -143,8 +142,8 @@ def config_from_dict(payload: dict) -> PipelineConfig:
             kwargs["criteria_kinds"] = tuple(
                 CriterionKind(kind) for kind in payload.pop("criteria_kinds")
             )
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"criteria_kinds: {exc}") from exc
     simple_keys = (
         "cluster_radius", "split_fraction", "cv_folds", "seed",
         "population_size", "max_iterations", "flight_length",
@@ -161,11 +160,4 @@ def config_from_dict(payload: dict) -> PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a JSON configuration file."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"configuration file not readable: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(payload)
+    return config_from_dict(read_json(path, "configuration"))

@@ -211,7 +211,7 @@ def _build_record(columns: list[str], values: list[str], line: int, index: int) 
 
 
 def _load_csv(path: Path) -> list[ProjectRecord]:
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         rows = [(line, row) for line, row in enumerate(reader, start=1) if row]
     if not rows:
@@ -228,7 +228,7 @@ def _load_arff(path: Path) -> list[ProjectRecord]:
     records: list[ProjectRecord] = []
     in_data = False
     index = 0
-    with path.open() as handle:
+    with path.open(encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
@@ -254,6 +254,9 @@ def _load_arff(path: Path) -> list[ProjectRecord]:
     return records
 
 
+_READERS = {"csv": _load_csv, "arff": _load_arff}
+
+
 def load_dataset(path: str | Path, format: str | None = None) -> list[ProjectRecord]:
     """Load project records from a CSV or ARFF file.
 
@@ -270,12 +273,12 @@ def load_dataset(path: str | Path, format: str | None = None) -> list[ProjectRec
         raise DataError(f"dataset file not readable: {path}")
     if format is None:
         format = path.suffix.lstrip(".").lower() or "csv"
-    if format == "csv":
-        records = _load_csv(path)
-    elif format == "arff":
-        records = _load_arff(path)
-    else:
+    if format not in _READERS:
         raise DataError(f"unsupported dataset format {format!r} (csv or arff)")
+    try:
+        records = _READERS[format](path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 {format} file ({exc})") from exc
     if not records:
         log.warning("%s: data section is empty", path)
     log.info("%s: loaded %d records", path, len(records))

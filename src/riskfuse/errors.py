@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one reader of
+JSON input files, which maps every way reading one fails to ``DataError``.
 
 The CLI maps these onto exit codes: usage problems are handled by the
 argument parser; any package error exits with 3 when a ``NumericalError``
 is on its ``__cause__`` chain (wrapping errors such as ``PipelineError``
 keep the original as their cause) and with 2 otherwise.
 """
+
+import json
+from pathlib import Path
 
 
 class RiskfuseError(Exception):
@@ -26,3 +30,15 @@ class PipelineError(RiskfuseError):
     def __init__(self, stage: str, message: str):
         self.stage = stage
         super().__init__(f"stage '{stage}': {message}")
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document in the UTF-8 file at ``path``; ``what`` names
+    the file in a ``DataError``."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"{what} file not readable: {path} ({exc.strerror})") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise DataError(f"{path}: {what} file is not UTF-8 JSON ({exc})") from exc

@@ -9,7 +9,8 @@ TOPSIS ranking of the risk factors, and the final weighted risk score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -65,29 +66,24 @@ class RiskReport:
             raise DataError("ranking is not a permutation of the factor indices")
 
     def to_dict(self) -> dict:
-        return {
-            "criteria": self.criteria,
-            "weights": self.weights,
-            "potential_scores": self.potential_scores,
-            "closeness": self.closeness,
-            "ranking": self.ranking,
-            "p_out": self.p_out,
-            "intermediates": self.intermediates,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RiskReport":
-        return cls(
-            criteria=list(payload["criteria"]),
-            weights=list(payload["weights"]),
-            potential_scores=list(payload["potential_scores"]),
-            closeness=list(payload["closeness"]),
-            ranking=list(payload["ranking"]),
-            p_out=payload["p_out"],
-            intermediates=payload.get("intermediates", {}),
-            metadata=payload.get("metadata", {}),
-        )
+        try:
+            return cls(**payload)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"not a risk report: {exc}") from exc
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise a package error from the block as stage ``name``'s
+    :class:`PipelineError`, keeping the original as its cause."""
+    try:
+        yield
+    except RiskfuseError as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
 def split_train_test(records: list, fraction: float, seed: int) -> tuple[list, list]:
@@ -220,18 +216,14 @@ def cross_validate(samples: list[Sample], config: PipelineConfig) -> CrossValida
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(4)
     split_seed, cv_seed, tune_seed = (int(s) for s in seeds[:3])
-    try:
+    with _stage("split"):
         train, test = split_train_test(samples, config.split_fraction, split_seed)
         folds = cv_folds(train, config.cv_folds, cv_seed)
-    except RiskfuseError as exc:
-        raise PipelineError("split", str(exc)) from exc
-    try:
+    with _stage("tuning"):
         tunings = [
             tune_anfis_with_ecsa(fold_train, fold_test, replace(config, seed=tune_seed + i))
             for i, (fold_train, fold_test) in enumerate(folds)
         ]
-    except RiskfuseError as exc:
-        raise PipelineError("tuning", str(exc)) from exc
     return CrossValidation(
         stage_seeds={"split": split_seed, "cv": cv_seed, "tuning": tune_seed},
         train=train,
@@ -311,7 +303,7 @@ def run_pipeline(
     n = len(criteria)
 
     # DEMATEL criterion weights.
-    try:
+    with _stage("dematel"):
         s = dematel.aggregate_responses(respondent_matrices, config.scale)
         if s.size != n:
             raise DataError(
@@ -319,18 +311,14 @@ def run_pipeline(
                 f"defines {n} criteria"
             )
         dematel_result = dematel.evaluate(s)
-    except RiskfuseError as exc:
-        raise PipelineError("dematel", str(exc)) from exc
     weights = dematel_result.weights
 
     # Feature extraction.
-    try:
+    with _stage("features"):
         mapping = FeatureMapping.fit(records, config.ordinal_values, config.missing_value)
         samples, features, owned = prepare_samples(
             records, catalog, mapping, config.anfis_inputs
         )
-    except RiskfuseError as exc:
-        raise PipelineError("features", str(exc)) from exc
 
     # Protocol: split, per-fold tuning, winner by fold-test error.
     cv = cross_validate(samples, config)
@@ -348,23 +336,19 @@ def run_pipeline(
     ]
     best_tuning = min(cv.tunings, key=lambda tuning: tuning.test_rmse)
     model = best_tuning.model
-    try:
+    with _stage("tuning"):
         heldout_rmse = anfis.rmse(model, cv.test)
         heldout_mape = anfis.mape(model, cv.test)
-    except RiskfuseError as exc:
-        raise PipelineError("tuning", str(exc)) from exc
 
     # Potential scores per risk factor.
-    try:
+    with _stage("scores"):
         # Each factor's probe: dataset-mean features with the factor's
         # own columns stressed to their observed maximum.
         probes = np.where(owned, features.max(axis=0), features.mean(axis=0))
         f = potential_scores(model, probes)
-    except RiskfuseError as exc:
-        raise PipelineError("scores", str(exc)) from exc
 
     # Intuitionistic TOPSIS ranking of the factors.
-    try:
+    with _stage("topsis"):
         kinds = config.kinds_for(n)
         # A lone criterion's total relation is zero: full evidence.
         t = dematel_result.t
@@ -374,14 +358,10 @@ def run_pipeline(
         )
         weighted_matrix, xi, ranking = topsis.evaluate(raw_matrix, lift_crisp_weights(weights))
         ties = topsis.tied_groups(xi)
-    except RiskfuseError as exc:
-        raise PipelineError("topsis", str(exc)) from exc
 
     # Aggregate risk score.
-    try:
+    with _stage("aggregate"):
         p_out = aggregate_risk(weights, f)
-    except RiskfuseError as exc:
-        raise PipelineError("aggregate", str(exc)) from exc
 
     intermediates = {
         "direct_relation": s.entries.tolist(),

@@ -12,7 +12,7 @@ import csv
 import json
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_json
 from .pipeline import RiskReport
 
 
@@ -76,17 +76,11 @@ def emit_report(report: RiskReport, format: str, path: str | Path) -> list[Path]
                     for i, c in enumerate(report.criteria)
                 ],
             )
-            run_rows = [
-                [
-                    run["run"], run["seed"], run["best_fitness"],
-                    run["train_rmse"], run["test_rmse"], run["evaluations"],
-                ]
-                for run in report.metadata.get("run_stats", [])
-            ]
+            columns = ["run", "seed", "best_fitness", "train_rmse", "test_rmse", "evaluations"]
             _write_csv(
                 paths["runs"],
-                ["run", "seed", "best_fitness", "train_rmse", "test_rmse", "evaluations"],
-                run_rows,
+                columns,
+                [[run[c] for c in columns] for run in report.metadata.get("run_stats", [])],
             )
             return list(paths.values())
     except OSError as exc:
@@ -96,7 +90,4 @@ def emit_report(report: RiskReport, format: str, path: str | Path) -> list[Path]
 
 def read_report(path: str | Path) -> RiskReport:
     """Read back a JSON report."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"report file not readable: {path}")
-    return report_from_json(path.read_text())
+    return RiskReport.from_dict(read_json(path, "report"))

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from riskfuse.config import PipelineConfig
 from riskfuse.dataset import FeatureMapping, bundled_path, default_catalog, load_dataset
+
+# Boundary property tests run the CLI once per example; its first call
+# pays for imports and file creation, so a per-example deadline only
+# measures machine load.
+settings.register_profile("boundary", deadline=None)
 
 
 @pytest.fixture(scope="session")

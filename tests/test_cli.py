@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskfuse.cli import cli_main
+from riskfuse.config import PipelineConfig
 from riskfuse.dataset import bundled_path
 from riskfuse.errors import NumericalError
 from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE
@@ -62,6 +65,48 @@ class TestWeightsCommand:
         assert cli_main(["weights", "--matrices", str(path)]) == 2
         assert "data error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "criteria", [5, ["a", "b", "c"], [1, 2]], ids=["number", "three-names", "non-string"]
+    )
+    def test_malformed_criteria_are_data_errors(self, criteria, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"respondents": [[[0, 2], [1, 0]]], "criteria": criteria}))
+        assert cli_main(["weights", "--matrices", str(path)]) == 2
+        assert "criteria must be a list of 2 strings" in capsys.readouterr().err
+
+
+_TINY_SCALE = {"name": "tiny", "labels": ["lo", "hi"], "tfns": [[0, 0, 0.5], [0.5, 1, 1]]}
+# Same labels, other TFNs: weights read through it differ from the tiny scale's.
+_DECOY_SCALE = {"name": "decoy", "labels": ["lo", "hi"], "tfns": [[0, 0, 0.2], [0.2, 1, 1]]}
+
+
+class TestScaleRule:
+    """Labels resolve through the matrices file's scale, else the config's."""
+
+    def test_file_scale_else_config_scale(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        grid = [["hi" if j > i else "lo" for j in range(6)] for i in range(6)]
+        files = {
+            "tiny.json": {"scale": _TINY_SCALE, "runs": 1, "max_iterations": 2,
+                          "population_size": 4},
+            "decoy.json": {"scale": _DECOY_SCALE},
+            "plain.json": {"respondents": [grid]},
+            "scaled.json": {"scale": _TINY_SCALE, "respondents": [grid]},
+        }
+        for name, payload in files.items():
+            Path(name).write_text(json.dumps(payload))
+
+        def weights_line(config, command, matrices):
+            assert cli_main(["--config", config, command, "--matrices", matrices]) == 0
+            return next(
+                line for line in capsys.readouterr().out.splitlines() if line.startswith("w = ")
+            )
+
+        tiny = weights_line("tiny.json", "weights", "plain.json")
+        assert weights_line("tiny.json", "pipeline", "plain.json") == tiny
+        assert weights_line("decoy.json", "weights", "scaled.json") == tiny
+        assert weights_line("decoy.json", "weights", "plain.json") != tiny
+
 
 # Leaves of arbitrary respondents JSON: the scale's labels and unknown
 # text, numbers of every kind JSON can carry, booleans and null.
@@ -87,12 +132,72 @@ def _grids(draw):
 
 
 class TestRespondentBoundary:
-    @settings(max_examples=150, deadline=None)
+    @settings(settings.get_profile("boundary"), max_examples=150)
     @given(respondents=_JSON_VALUES | _grids())
     def test_every_input_exits_cleanly(self, respondents, tmp_path_factory):
         path = tmp_path_factory.mktemp("respondents") / "m.json"
         path.write_text(json.dumps({"respondents": respondents}))
         assert cli_main(["weights", "--matrices", str(path)]) in (0, 2, 3)
+
+
+# Arbitrary JSON, weighted towards values that some configuration key
+# or weighted IF matrix field accepts.
+_ANY_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 30) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.floats(0, 1) | st.text(max_size=3)
+    | st.sampled_from(["magnitude", "signed", "groups", "codes", "benefit", "cost", "lo"])
+)
+_ANY_JSON = st.recursive(
+    _ANY_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["name", "labels", "tfns", "low", ""]), children,
+                      max_size=3),
+    max_leaves=16,
+)
+# One accepted value per configuration key, and a typo key.
+_CONFIG_VALUES = {
+    **{f.name: getattr(PipelineConfig(), f.name) for f in fields(PipelineConfig)},
+    "scale": _TINY_SCALE, "criteria_kinds": ["cost", "benefit"], "rnus": 1,
+}
+# Configs whose every key holds its accepted value or arbitrary JSON.
+_CONFIGS = st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), unique=True, max_size=5).flatmap(
+    lambda keys: st.fixed_dictionaries({k: st.just(_CONFIG_VALUES[k]) | _ANY_JSON for k in keys})
+)
+
+
+class TestConfigBoundary:
+    @settings(settings.get_profile("boundary"), max_examples=100)
+    @given(config=_CONFIGS)
+    def test_every_config_exits_cleanly(self, config, tmp_path_factory):
+        path = tmp_path_factory.mktemp("config") / "c.json"
+        path.write_text(json.dumps(config))
+        matrices = str(bundled_path("dematel_2x2.json"))
+        assert cli_main(["--config", str(path), "weights", "--matrices", matrices]) in (0, 1, 2, 3)
+
+
+@st.composite
+def _if_matrices(draw):
+    """Near-valid weighted IF matrices: rows of (mu, nu[, pi]) cells."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    cell = st.lists(st.floats(0, 0.5), min_size=2, max_size=2)
+    if draw(st.booleans()):
+        cell |= st.lists(st.floats(-1, 2), min_size=2, max_size=4) | _ANY_JSON
+    return {
+        "cells": [[draw(cell) for _ in range(m)] for _ in range(n)],
+        "criteria_kinds": draw(st.lists(st.sampled_from(["benefit", "cost"]), min_size=m,
+                                        max_size=m) | _ANY_JSON),
+        "names": draw(st.none() | st.lists(st.text(max_size=2), min_size=n, max_size=n)
+                      | _ANY_JSON),
+    }
+
+
+class TestRankBoundary:
+    @settings(settings.get_profile("boundary"), max_examples=100)
+    @given(matrix=_if_matrices() | _ANY_JSON)
+    def test_every_matrix_exits_cleanly(self, matrix, tmp_path_factory):
+        path = tmp_path_factory.mktemp("matrix") / "m.json"
+        path.write_text(json.dumps(matrix))
+        assert cli_main(["rank", "--matrix", str(path)]) in (0, 1, 2, 3)
 
 
 class TestRankCommand:
@@ -167,6 +272,18 @@ class TestExitCodes:
         path.write_text(json.dumps(payload))
         assert cli_main(["--config", str(path), "pipeline"]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["--config", "{}", "pipeline"], ["weights", "--matrices", "{}"],
+         ["pipeline", "--matrices", "{}"], ["tune", "--data", "{}"], ["rank", "--matrix", "{}"]],
+        ids=["config", "weights-matrices", "pipeline-matrices", "data", "matrix"],
+    )
+    def test_undecodable_file_is_data_error(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes('{"r\u00e9sum\u00e9": 1}'.encode("latin-1"))
+        assert cli_main([arg.format(path) for arg in command]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_wrong_config_type_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -56,6 +56,19 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2.*kloc"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "suffix, content",
+        [("csv", "rely,effort\nn,r\u00e9\n".encode("latin-1")),
+         ("csv", b"rely,effort\n" + b"n" * 200_000 + b",1\n"),
+         ("arff", b"@attribute rely\n@data\n" + b"n" * 200_000 + b"\n")],
+        ids=["latin-1", "csv-field-limit", "arff-field-limit"],
+    )
+    def test_unreadable_text_rejected(self, tmp_path, suffix, content):
+        path = tmp_path / f"data.{suffix}"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="not a UTF-8"):
+            load_dataset(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope.csv")
@@ -230,6 +243,7 @@ class TestConfig:
             {"cluster_radius": float("nan")},
             {"ordinal_values": {"low": "a"}},
             {"ordinal_values": "x"},
+            {"criteria_kinds": 5},
         ],
     )
     def test_wrong_value_types_rejected(self, payload):

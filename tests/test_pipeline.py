@@ -321,6 +321,13 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="dematel"):
             run_pipeline(nasa_records, [], config)
 
+    def test_unknown_label_names_stage(self, nasa_records, respondent_fixture):
+        grid = [list(row) for row in respondent_fixture[0]]
+        grid[0][1] = "Purple"
+        config = PipelineConfig(runs=2, max_iterations=5, population_size=4)
+        with pytest.raises(PipelineError, match="dematel.*Purple"):
+            run_pipeline(nasa_records, [grid], config)
+
     def test_wrong_matrix_size_names_stage(self, nasa_records):
         config = PipelineConfig(runs=2, max_iterations=5, population_size=4)
         with pytest.raises(PipelineError, match="dematel"):

@@ -56,6 +56,16 @@ class TestJsonRoundTrip:
         with pytest.raises(DataError):
             report_from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "content", [b'{"criteria": ["a"]}', b"[1, 2]", b'{"p_out": "\xe9"}', b"[" * 100_000],
+        ids=["missing-fields", "list", "latin-1", "deep-nesting"],
+    )
+    def test_non_report_file_rejected(self, content, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError):
+            read_report(path)
+
 
 class TestCsvTables:
     def test_three_tables_written(self, sample_report, tmp_path):
