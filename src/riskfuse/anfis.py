@@ -28,7 +28,8 @@ REJECT_RATIO = 0.15
 MIN_SHAPE_PARAM = 1e-6
 
 # Ridge penalty of the tuning fit, per training row: the consequents
-# minimize ||residual||^2 + RIDGE * n * ||consequents||^2.
+# minimize ||residual||^2 + RIDGE * n * ||consequents||^2, solved on the
+# smaller side of the design (see ``_ridge_fit``).
 RIDGE = 1e-2
 
 
@@ -96,26 +97,32 @@ class AnfisModel:
 
 def _membership_matrix(premises: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Firing strengths of the (..., rules, inputs, 3) premises for the
-    rows of x: shape (..., n_samples, n_rules), over any leading candidate
-    axes.  The inputs are multiplied in one at a time, so no tensor with
-    an axis per input is built."""
+    rows of x: shape (..., n_rules, n_samples), over any leading candidate
+    axes.  Samples run innermost, and the inputs are multiplied in one at
+    a time, so no tensor with an axis per input is built."""
     if x.ndim != 2 or x.shape[1] != premises.shape[-2]:
         raise DataError(f"expected rows of {premises.shape[-2]} inputs, got shape {x.shape}")
-    params = np.moveaxis(premises, -1, 0)[..., None, :, :]  # (3, ..., 1, R, D)
+    params = np.moveaxis(premises, -1, 0)[..., None]  # (3, ..., R, D, 1)
     w = 1.0
     for d, u in enumerate(x.T):
-        w = w * bell_membership(u[:, None], *params[..., d])
+        w = w * bell_membership(u, *params[..., d, :])
     return w
+
+
+def _normalize(w: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Firing strengths w normalized over the rule ``axis``, plus the mask
+    of samples where every activation underflowed; those stay at zero."""
+    totals = w.sum(axis=axis, keepdims=True)
+    dead = totals <= 0.0
+    return w / np.where(dead, 1.0, totals), dead.squeeze(axis)
 
 
 def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row normalized firing strengths (..., n_samples, n_rules), plus
-    the (..., n_samples) mask of rows where every activation underflowed
-    to zero; their strengths are left at zero."""
+    the (..., n_samples) mask of dead rows (see ``_normalize``).  The rule
+    sums run over a contiguous axis, which pins their rounding order."""
     w = _membership_matrix(premises, x)
-    totals = w.sum(axis=-1, keepdims=True)
-    dead = totals[..., 0] <= 0.0
-    return np.divide(w, totals, out=np.zeros_like(w), where=~dead[..., None]), dead
+    return _normalize(np.ascontiguousarray(np.swapaxes(w, -1, -2)), axis=-1)
 
 
 def _require_alive(dead: np.ndarray) -> None:
@@ -280,22 +287,37 @@ def fit_consequents_least_squares(
     return replace(model, consequents=consequents, diagnostics=diagnostics)
 
 
-def _ridge_dual(
-    premises: np.ndarray, x: np.ndarray, gram: np.ndarray, y: np.ndarray
+def _ridge_fit(
+    premises: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual ridge solve at fixed premises, over any leading candidate axes.
+    """Ridge consequents at fixed premises, over any leading candidate axes.
 
-    The design row of sample i is wbar_i (x) [x_i 1], so the kernel
-    design @ design.T is (wbar wbar^T) * gram with ``gram`` = [x 1][x 1]^T,
-    and alpha = solve(kernel + RIDGE n I, y).  Returns the normalized
-    strengths, alpha (..., n) and the (..., n) mask of rows whose
-    activations all underflow.
+    Solves on the smaller side of the n x p rule design A, p = rules *
+    (inputs + 1): the primal (A^T A + RIDGE n I) theta = A^T y when p < n,
+    else the dual alpha = solve(K + RIDGE n I, y), whose kernel A A^T is
+    (wbar wbar^T) * [x 1][x 1]^T, with theta = A^T alpha and training
+    residual RIDGE n alpha.  Returns the (..., rules, inputs + 1)
+    consequents, the (...) training RMSE and the (..., n) mask of rows
+    whose activations all underflow.
     """
-    wbar, dead = _normalized_strengths(premises, x)
-    n = len(y)
-    kernel = (wbar @ np.swapaxes(wbar, -1, -2)) * gram
-    kernel += RIDGE * n * np.eye(n)
-    return wbar, np.linalg.solve(kernel, y), dead
+    augmented = _augment(x)
+    n, rules = len(y), premises.shape[-3]
+    if rules * augmented.shape[1] >= n:
+        wbar, dead = _normalized_strengths(premises, x)
+        kernel = (wbar @ np.swapaxes(wbar, -1, -2)) * (augmented @ augmented.T)
+        kernel += RIDGE * n * np.eye(n)
+        alpha = np.linalg.solve(kernel, y)
+        consequents = np.swapaxes(wbar * alpha[..., None], -1, -2) @ augmented
+        return consequents, RIDGE * math.sqrt(n) * np.linalg.norm(alpha, axis=-1), dead
+    wbar, dead = _normalize(_membership_matrix(premises, x), axis=-2)
+    design_t = wbar[..., None, :] * np.ascontiguousarray(augmented.T)  # (..., R, D + 1, n)
+    design_t = design_t.reshape(wbar.shape[:-2] + (-1, n))
+    lhs = design_t @ np.swapaxes(design_t, -1, -2)
+    lhs += RIDGE * n * np.eye(lhs.shape[-1])
+    theta = np.linalg.solve(lhs, (design_t @ y)[..., None])[..., 0]
+    residual = y - (theta[..., None, :] @ design_t)[..., 0, :]
+    train_rmse = np.linalg.norm(residual, axis=-1) / math.sqrt(n)
+    return theta.reshape(wbar.shape[:-2] + (rules, -1)), train_rmse, dead
 
 
 def fit_consequents_ridge(
@@ -304,18 +326,17 @@ def fit_consequents_ridge(
     """Refit all rule consequents by ridge regression at fixed premises.
 
     Minimizes the squared training error plus ``RIDGE * n`` times the
-    squared consequent norm, through the n x n dual solve; the
-    consequents of rule j are sum_i alpha_i wbar_ij [x_i 1].  The penalty
-    keeps the solve well posed when rules outnumber what the rows can
-    pin down, where the minimum-norm least-squares fit interpolates.
+    squared consequent norm, by one solve on the smaller side of the
+    design (see ``_ridge_fit``).  The penalty keeps the solve well posed
+    when rules outnumber what the rows can pin down, where the
+    minimum-norm least-squares fit interpolates.
     """
     if not train:
         raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
-    augmented = _augment(x)
-    wbar, alpha, dead = _ridge_dual(model.premises, x, augmented @ augmented.T, y)
+    consequents, _, dead = _ridge_fit(model.premises, x, y)
     _require_alive(dead)
-    return replace(model, consequents=(wbar * alpha[:, None]).T @ augmented)
+    return replace(model, consequents=consequents)
 
 
 def scaling_objective(
@@ -325,19 +346,15 @@ def scaling_objective(
 
     Takes a (candidates, n_parameters) array and returns per row the
     training RMSE of ``apply_parameter_scaling`` followed by
-    ``fit_consequents_ridge``, without building models: one batched dual
-    solve covers all rows.  The training residual of the ridge fit is
-    exactly RIDGE n alpha, so the RMSE is RIDGE sqrt(n) ||alpha||.  Rows
-    are independent: a row scores the same bits alone or in any batch.
+    ``fit_consequents_ridge``, without building models: one batched solve,
+    on the same side as the fit's, covers all rows.  Rows are
+    independent: a row scores the same bits alone or in any batch.
     An infeasible candidate, under which every activation of some
     training row underflows, scores +inf.
     """
     if not train:
         raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
-    augmented = _augment(x)
-    gram = augmented @ augmented.T
-    scale = RIDGE * math.sqrt(len(y))
 
     def objective(coefficients: np.ndarray) -> np.ndarray:
         coefficients = np.asarray(coefficients, dtype=float)
@@ -347,8 +364,8 @@ def scaling_objective(
                 f"got {coefficients.shape}"
             )
         premises, _ = _scaled_premises(model0.premises, coefficients)
-        _, alpha, dead = _ridge_dual(premises, x, gram, y)
-        return np.where(dead.any(axis=-1), np.inf, scale * np.linalg.norm(alpha, axis=-1))
+        _, train_rmse, dead = _ridge_fit(premises, x, y)
+        return np.where(dead.any(axis=-1), np.inf, train_rmse)
 
     return objective
 
@@ -426,15 +443,23 @@ def model_to_dict(model: AnfisModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> AnfisModel:
-    rules = payload["rules"]
-    model = AnfisModel(
-        premises=[spec["premises"] for spec in rules],
-        consequents=[spec["consequent"] for spec in rules],
-        input_normalization=payload["input_normalization"],
-        diagnostics=tuple(payload.get("diagnostics", ())),
-    )
-    if model.input_dim != payload["input_dim"]:
-        raise DataError(f"input_dim {payload['input_dim']} does not match the premises")
+    """The model a ``model_to_dict`` payload describes; ``DataError`` if
+    the payload is not one."""
+    try:
+        rules = payload["rules"]
+        model = AnfisModel(
+            premises=[spec["premises"] for spec in rules],
+            consequents=[spec["consequent"] for spec in rules],
+            input_normalization=payload["input_normalization"],
+            diagnostics=tuple(payload.get("diagnostics", ())),
+        )
+        input_dim = payload["input_dim"]
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged arrays
+        raise DataError(f"malformed model description: {exc!r}") from exc
+    if model.input_dim != input_dim:
+        raise DataError(f"input_dim {input_dim} does not match the premises")
     return model
 
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -122,13 +123,14 @@ class TestForward:
                 ]
                 for x in xs
             ]
-            assert _membership_matrix(model.premises, xs) == pytest.approx(np.array(loop), rel=1e-14)
+            expected = np.array(loop).T  # (rules, samples): samples innermost
+            assert _membership_matrix(model.premises, xs) == pytest.approx(expected, rel=1e-14)
 
     def test_membership_matrix_broadcasts_over_candidates(self, rng):
         stacked = np.stack([random_model(rng, dim=2, n_rules=3).premises for _ in range(4)])
         xs = rng.uniform(-1, 2, size=(7, 2))
         batch = _membership_matrix(stacked[None], xs)
-        assert batch.shape == (1, 4, 7, 3)
+        assert batch.shape == (1, 4, 3, 7)
         for one, premises in zip(batch[0], stacked):
             assert one.tobytes() == _membership_matrix(premises, xs).tobytes()
 
@@ -238,20 +240,23 @@ class TestLeastSquaresFit:
 
 class TestRidgeFit:
     def test_matches_primal_solve(self, rng):
-        # The dual solve equals the textbook primal ridge system
-        # (A^T A + lambda n I) theta = A^T y on the rule design A.
-        model = random_model(rng, dim=2, n_rules=3)
-        xs = rng.uniform(0.0, 1.0, size=(20, 2))
-        ys = np.sin(3.0 * xs.sum(axis=1))
-        fitted = fit_consequents_ridge(model, list(zip(xs, ys)))
-        m, l, k = model.premises.transpose(2, 0, 1)
-        w = bell_membership(xs[:, None, :], m, l, k).prod(axis=2)
-        wbar = w / w.sum(axis=1, keepdims=True)
-        design = (wbar[:, :, None] * np.column_stack([xs, np.ones(20)])[:, None, :]).reshape(20, -1)
-        primal = np.linalg.solve(
-            design.T @ design + anfis.RIDGE * 20 * np.eye(design.shape[1]), design.T @ ys
-        )
-        assert fitted.consequents.ravel() == pytest.approx(primal, rel=1e-8, abs=1e-10)
+        # Either side of the fit equals the textbook primal ridge system
+        # (A^T A + lambda n I) theta = A^T y on the rule design A.  With
+        # p = rules * (inputs + 1) unknowns on n rows, 9 < 20 solves the
+        # primal system, 12 = 12 and 9 > 8 the dual one.
+        for n_rows, n_rules in [(20, 3), (12, 4), (8, 3)]:
+            model = random_model(rng, dim=2, n_rules=n_rules)
+            xs = rng.uniform(0.0, 1.0, size=(n_rows, 2))
+            ys = np.sin(3.0 * xs.sum(axis=1))
+            fitted = fit_consequents_ridge(model, list(zip(xs, ys)))
+            m, l, k = model.premises.transpose(2, 0, 1)
+            w = bell_membership(xs[:, None, :], m, l, k).prod(axis=2)
+            wbar = w / w.sum(axis=1, keepdims=True)
+            augmented = np.column_stack([xs, np.ones(n_rows)])
+            design = (wbar[:, :, None] * augmented[:, None, :]).reshape(n_rows, -1)
+            lhs = design.T @ design + anfis.RIDGE * n_rows * np.eye(design.shape[1])
+            primal = np.linalg.solve(lhs, design.T @ ys)
+            assert fitted.consequents.ravel() == pytest.approx(primal, rel=1e-8, abs=1e-10)
 
     def test_shrinks_below_least_squares(self, rng):
         model = random_model(rng, dim=2, n_rules=3)
@@ -366,6 +371,24 @@ class TestSerialization:
         payload["input_dim"] = 3
         with pytest.raises(DataError, match="input_dim"):
             model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"rules": 5},
+            {"input_dim": 1, "rules": [{"premises": [[0.5, 1.0, 1.0]]}],
+             "input_normalization": [[0.0, 1.0]]},
+        ],
+        ids=["empty", "rules-not-a-list", "rule-without-consequent"],
+    )
+    def test_payload_that_is_no_model_is_data_error(self, payload, tmp_path):
+        with pytest.raises(DataError, match="malformed model"):
+            model_from_dict(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed model"):
+            load_model(path)
 
     def test_round_trip(self, rng, tmp_path):
         model = random_model(rng, dim=2, n_rules=3)

@@ -301,7 +301,7 @@ class TestExitCodes:
         def failing_solve(*args):
             raise NumericalError("injected solve failure")
 
-        monkeypatch.setattr(anfis, "_ridge_dual", failing_solve)
+        monkeypatch.setattr(anfis, "_ridge_fit", failing_solve)
         assert cli_main(["--config", quick_config_file] + command) == 3
         err = capsys.readouterr().err
         assert "injected solve failure" in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -201,6 +202,42 @@ class TestSearchObjective:
             expected = [rmse(fit_consequents_ridge(model, fold), fold) for model in scaled]
             assert values == pytest.approx(expected, rel=rel)
         assert any(d.startswith("clamped") for d in scaled[1].diagnostics)
+
+    def test_primal_side_agrees_with_dual_side(self, nasa_records, catalog):
+        """The groups fold solves the primal system (p = 21 < n = 43); the
+        dual solve of the same fits, written out here, scores the same
+        candidates to 1e-12 relative."""
+        config, fold, base = _fold0(nasa_records, catalog, "groups")
+        x = np.array([inp for inp, _ in fold])
+        y = np.array([target for _, target in fold])
+        n, p = len(fold), base.n_rules * (base.input_dim + 1)
+        assert p < n
+        batch = np.random.default_rng(5).uniform(
+            *config.coefficient_bounds(), size=(8, base.n_parameters)
+        )
+        batch[0] = 1.0
+        premises, _ = anfis._scaled_premises(base.premises, batch)
+        wbar, _ = anfis._normalized_strengths(premises, x)
+        augmented = np.column_stack([x, np.ones(n)])
+        kernel = (wbar @ np.swapaxes(wbar, -1, -2)) * (augmented @ augmented.T)
+        alpha = np.linalg.solve(kernel + anfis.RIDGE * n * np.eye(n), y)
+        dual = anfis.RIDGE * np.sqrt(n) * np.linalg.norm(alpha, axis=-1)
+        assert scaling_objective(base, fold)(batch) == pytest.approx(dual, rel=1e-12)
+
+    def test_dual_side_scores_pinned(self, nasa_records, catalog):
+        """The codes fold (p = 602 unknowns on n = 43 rows) solves the dual
+        system.  Its scores are pinned bit for bit: the codes reports
+        depend on every bit of them, since the search ranks crows whose
+        scores tie to rounding."""
+        config, fold, base = _fold0(nasa_records, catalog, "codes")
+        batch = np.random.default_rng(7).uniform(
+            *config.coefficient_bounds(), size=(4, base.n_parameters)
+        )
+        batch[0] = 1.0
+        values = scaling_objective(base, fold)(batch)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "2781bb830d27e3879981b903e212ae3fb242b1525be87e8f61a013b976c3c1d7"
+        )
 
     def test_underflowing_candidate_scores_inf(self):
         # One rule centred at 0; the candidate clamps its width to 1e-6 and
