@@ -95,17 +95,36 @@ class AnfisModel:
         return self.premises.size
 
 
-def _membership_matrix(premises: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _input_levels(x: np.ndarray, n_inputs: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each column of the rows x as its sorted distinct values plus each
+    row's index into them.  Ordinal inputs take few distinct values, so
+    memberships computed per level and gathered back to the rows cost a
+    fraction of one per row, with the same bits."""
+    if x.ndim != 2 or x.shape[1] != n_inputs:
+        raise DataError(f"expected rows of {n_inputs} inputs, got shape {x.shape}")
+    columns = x.T
+    order = np.argsort(columns, axis=1, kind="stable")
+    rows = np.arange(len(columns))[:, None]
+    ranked = columns[rows, order]
+    first = np.ones(ranked.shape, dtype=bool)  # first of its value in sorted order
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    where = np.empty(ranked.shape, dtype=np.intp)
+    where[rows, order] = np.cumsum(first, axis=1) - 1
+    return [(values[new], index) for values, new, index in zip(ranked, first, where)]
+
+
+def _membership_matrix(
+    premises: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
     """Firing strengths of the (..., rules, inputs, 3) premises for the
-    rows of x: shape (..., n_rules, n_samples), over any leading candidate
-    axes.  Samples run innermost, and the inputs are multiplied in one at
-    a time, so no tensor with an axis per input is built."""
-    if x.ndim != 2 or x.shape[1] != premises.shape[-2]:
-        raise DataError(f"expected rows of {premises.shape[-2]} inputs, got shape {x.shape}")
+    rows whose ``_input_levels`` are given: shape (..., n_rules,
+    n_samples), over any leading candidate axes.  Samples run innermost,
+    and the inputs are multiplied in one at a time, so no tensor with an
+    axis per input is built."""
     params = np.moveaxis(premises, -1, 0)[..., None]  # (3, ..., R, D, 1)
     w = 1.0
-    for d, u in enumerate(x.T):
-        w = w * bell_membership(u, *params[..., d, :])
+    for d, (values, where) in enumerate(levels):
+        w = w * bell_membership(values, *params[..., d, :])[..., where]
     return w
 
 
@@ -117,12 +136,18 @@ def _normalize(w: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return w / np.where(dead, 1.0, totals), dead.squeeze(axis)
 
 
-def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row normalized firing strengths (..., n_samples, n_rules), plus
-    the (..., n_samples) mask of dead rows (see ``_normalize``).  The rule
-    sums run over a contiguous axis, which pins their rounding order."""
-    w = _membership_matrix(premises, x)
+def _row_strengths(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., rules, samples) firing strengths w normalized per row, as
+    (..., n_samples, n_rules), plus the (..., n_samples) mask of dead rows
+    (see ``_normalize``).  The rule sums run over a contiguous axis, which
+    pins their rounding order."""
     return _normalize(np.ascontiguousarray(np.swapaxes(w, -1, -2)), axis=-1)
+
+
+def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row normalized firing strengths of the premises for the rows
+    of x; see ``_row_strengths``."""
+    return _row_strengths(_membership_matrix(premises, _input_levels(x, premises.shape[-2])))
 
 
 def _require_alive(dead: np.ndarray) -> None:
@@ -288,9 +313,10 @@ def fit_consequents_least_squares(
 
 
 def _ridge_fit(
-    premises: np.ndarray, x: np.ndarray, y: np.ndarray
+    premises: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ridge consequents at fixed premises, over any leading candidate axes.
+    """Ridge consequents at fixed premises for the rows x with the given
+    ``_input_levels``, over any leading candidate axes.
 
     Solves on the smaller side of the n x p rule design A, p = rules *
     (inputs + 1): the primal (A^T A + RIDGE n I) theta = A^T y when p < n,
@@ -303,13 +329,13 @@ def _ridge_fit(
     augmented = _augment(x)
     n, rules = len(y), premises.shape[-3]
     if rules * augmented.shape[1] >= n:
-        wbar, dead = _normalized_strengths(premises, x)
+        wbar, dead = _row_strengths(_membership_matrix(premises, levels))
         kernel = (wbar @ np.swapaxes(wbar, -1, -2)) * (augmented @ augmented.T)
         kernel += RIDGE * n * np.eye(n)
         alpha = np.linalg.solve(kernel, y)
         consequents = np.swapaxes(wbar * alpha[..., None], -1, -2) @ augmented
         return consequents, RIDGE * math.sqrt(n) * np.linalg.norm(alpha, axis=-1), dead
-    wbar, dead = _normalize(_membership_matrix(premises, x), axis=-2)
+    wbar, dead = _normalize(_membership_matrix(premises, levels), axis=-2)
     design_t = wbar[..., None, :] * np.ascontiguousarray(augmented.T)  # (..., R, D + 1, n)
     design_t = design_t.reshape(wbar.shape[:-2] + (-1, n))
     lhs = design_t @ np.swapaxes(design_t, -1, -2)
@@ -334,7 +360,7 @@ def fit_consequents_ridge(
     if not train:
         raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
-    consequents, _, dead = _ridge_fit(model.premises, x, y)
+    consequents, _, dead = _ridge_fit(model.premises, _input_levels(x, model.input_dim), x, y)
     _require_alive(dead)
     return replace(model, consequents=consequents)
 
@@ -355,6 +381,7 @@ def scaling_objective(
     if not train:
         raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
+    levels = _input_levels(x, model0.input_dim)
 
     def objective(coefficients: np.ndarray) -> np.ndarray:
         coefficients = np.asarray(coefficients, dtype=float)
@@ -364,7 +391,7 @@ def scaling_objective(
                 f"got {coefficients.shape}"
             )
         premises, _ = _scaled_premises(model0.premises, coefficients)
-        _, train_rmse, dead = _ridge_fit(premises, x, y)
+        _, train_rmse, dead = _ridge_fit(premises, levels, x, y)
         return np.where(dead.any(axis=-1), np.inf, train_rmse)
 
     return objective

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from numbers import Integral
 from typing import Callable, Sequence
 
@@ -86,9 +87,10 @@ class EcsaConfig:
         object.__setattr__(self, "bounds", bounds)
         if not bounds:
             raise DataError("bounds must cover at least one dimension")
-        if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in bounds):
+        box = np.fromiter(chain.from_iterable(bounds), float, 2 * len(bounds)).reshape(-1, 2)
+        if not np.isfinite(box).all():
             raise DataError("every bound must be finite")
-        if any(lo >= hi for lo, hi in bounds):
+        if (box[:, 0] >= box[:, 1]).any():
             raise DataError("every dimension needs lower < upper bound")
 
     @property

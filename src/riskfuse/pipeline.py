@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -66,7 +66,9 @@ class RiskReport:
             raise DataError("ranking is not a permutation of the factor indices")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, shallow: every value is already JSON-native,
+        so a deep copy would only cost time."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RiskReport":

@@ -7,6 +7,7 @@ import pytest
 from riskfuse import anfis
 from riskfuse.anfis import (
     AnfisModel,
+    _input_levels,
     _membership_matrix,
     _rule_outputs,
     apply_parameter_scaling,
@@ -124,15 +125,16 @@ class TestForward:
                 for x in xs
             ]
             expected = np.array(loop).T  # (rules, samples): samples innermost
-            assert _membership_matrix(model.premises, xs) == pytest.approx(expected, rel=1e-14)
+            levels = _input_levels(xs, model.input_dim)
+            assert _membership_matrix(model.premises, levels) == pytest.approx(expected, rel=1e-14)
 
     def test_membership_matrix_broadcasts_over_candidates(self, rng):
         stacked = np.stack([random_model(rng, dim=2, n_rules=3).premises for _ in range(4)])
-        xs = rng.uniform(-1, 2, size=(7, 2))
-        batch = _membership_matrix(stacked[None], xs)
+        levels = _input_levels(rng.uniform(-1, 2, size=(7, 2)), 2)
+        batch = _membership_matrix(stacked[None], levels)
         assert batch.shape == (1, 4, 3, 7)
         for one, premises in zip(batch[0], stacked):
-            assert one.tobytes() == _membership_matrix(premises, xs).tobytes()
+            assert one.tobytes() == _membership_matrix(premises, levels).tobytes()
 
     def test_input_width_checked(self, rng):
         model = random_model(rng, dim=2, n_rules=2)
@@ -148,6 +150,79 @@ class TestForward:
         singles = [forward(model, x) for x in xs]
         assert batch == pytest.approx(singles)
 
+
+
+def per_row_strengths(premises, xs):
+    """The firing strength of every rule at every row, written out: the
+    bell formula evaluated on the rows themselves, inputs multiplied in
+    order.  Shape (..., rules, samples)."""
+    m, l, k = (p[..., None] for p in np.moveaxis(premises, -1, 0))  # (..., R, D, 1)
+    w = 1.0
+    with np.errstate(over="ignore"):
+        for d in range(xs.shape[1]):
+            u = xs[:, d]
+            w = w * (1.0 / (1.0 + np.abs((u - m[..., d, :]) / l[..., d, :]) ** (2.0 * k[..., d, :])))
+    return w
+
+
+class TestTiedInputs:
+    """Memberships are computed once per distinct input value and
+    gathered back to the rows; every strength keeps the bits of the
+    per-row formula."""
+
+    ORDINAL = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+    def check(self, premises, xs):
+        levels = _input_levels(xs, premises.shape[-2])
+        for (values, where), column in zip(levels, xs.T):
+            assert np.all(np.diff(values) > 0.0)
+            assert values[where].tobytes() == column.tobytes()
+        got = _membership_matrix(premises, levels)
+        assert got.tobytes() == per_row_strengths(premises, xs).tobytes()
+
+    def test_repeated_values(self, rng):
+        for _ in range(20):
+            model = random_model(rng, dim=3, n_rules=4)
+            self.check(model.premises, rng.choice(self.ORDINAL, size=(30, 3)))
+
+    def test_signed_zeros_share_a_level(self, rng):
+        model = random_model(rng, dim=1, n_rules=3)
+        premises = model.premises.copy()
+        premises[0, 0, 0] = 0.0  # one bell centred on zero
+        xs = np.array([[0.0], [-0.0], [1.0], [-0.0]])
+        assert len(_input_levels(xs, 1)[0][0]) == 2
+        got = _membership_matrix(premises, _input_levels(xs, 1))
+        assert got.tobytes() == per_row_strengths(premises, xs).tobytes()
+
+    def test_duplicate_rows(self, rng):
+        model = random_model(rng, dim=3, n_rules=3)
+        xs = rng.uniform(-1, 2, size=(6, 3))
+        self.check(model.premises, np.vstack([xs, xs[::-1], xs[:2]]))
+
+    def test_constant_column(self, rng):
+        model = random_model(rng, dim=3, n_rules=3)
+        xs = rng.choice(self.ORDINAL, size=(12, 3))
+        xs[:, 1] = 0.5
+        assert len(_input_levels(xs, 3)[1][0]) == 1
+        self.check(model.premises, xs)
+
+    def test_one_row(self, rng):
+        model = random_model(rng, dim=3, n_rules=2)
+        self.check(model.premises, rng.uniform(-1, 2, size=(1, 3)))
+
+    def test_leading_candidate_axes(self, rng):
+        stacked = np.stack([random_model(rng, dim=2, n_rules=3).premises for _ in range(6)])
+        xs = rng.choice(self.ORDINAL, size=(9, 2))
+        xs[:, 0] = xs[0, 0]
+        self.check(stacked.reshape(2, 3, 3, 2, 3), xs)
+
+    def test_underflow_and_overflow_kept(self):
+        # A far-off level overflows |z|^(2k) to inf and its membership
+        # underflows to exactly zero, as on the per-row path.
+        premises = np.array([[[0.0, 1e-3, 200.0]], [[5.0, 1.0, 1.0]]])
+        xs = np.array([[0.0], [4.0], [4.0], [0.0]])
+        self.check(premises, xs)
+        assert np.count_nonzero(_membership_matrix(premises, _input_levels(xs, 1))[0] == 0.0) == 2
 
 class TestSubtractiveClustering:
     def test_single_point(self):

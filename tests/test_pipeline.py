@@ -239,6 +239,21 @@ class TestSearchObjective:
             "2781bb830d27e3879981b903e212ae3fb242b1525be87e8f61a013b976c3c1d7"
         )
 
+    def test_primal_side_scores_pinned(self, nasa_records, catalog):
+        """The groups fold (p = 21 unknowns on n = 43 rows) solves the
+        primal system.  Its scores are pinned bit for bit: the groups
+        reports depend on every bit of them, since the search ranks crows
+        whose scores tie to rounding."""
+        config, fold, base = _fold0(nasa_records, catalog, "groups")
+        batch = np.random.default_rng(7).uniform(
+            *config.coefficient_bounds(), size=(4, base.n_parameters)
+        )
+        batch[0] = 1.0
+        values = scaling_objective(base, fold)(batch)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "c493f6773419112ac5ce1f1aa50330ab49460bd8b14789222fe4c1dd5d41d379"
+        )
+
     def test_underflowing_candidate_scores_inf(self):
         # One rule centred at 0; the candidate clamps its width to 1e-6 and
         # raises its shape exponent to 300, so every membership underflows.
