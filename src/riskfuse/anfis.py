@@ -9,15 +9,13 @@ optimizer tunes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericalError, read_json
+from .errors import DataError, NumericalError
 
 # Subtractive clustering constants (standard defaults).
 SQUASH_FACTOR = 1.25
@@ -236,11 +234,20 @@ def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
 
 def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     """Sample inputs (scalars or vectors) as an (n, d) matrix, plus the
-    targets as a vector."""
-    x = np.array([np.atleast_1d(np.asarray(inp, dtype=float)) for inp, _ in samples])
-    if x.ndim != 2:
-        raise DataError("sample inputs must share one dimensionality")
-    return x, np.array([target for _, target in samples], dtype=float)
+    targets as a vector; ``DataError`` unless every input is a vector of
+    one shared length and every input and target a finite number."""
+    try:
+        x = np.array([inp for inp, _ in samples], dtype=float)
+        y = np.array([target for _, target in samples], dtype=float)
+    except (TypeError, ValueError) as exc:  # ValueError: ragged or non-numeric
+        raise DataError(f"samples must be numeric (input, target) pairs: {exc}") from exc
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or y.ndim != 1:
+        raise DataError("sample inputs must be vectors of one length, and targets scalars")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("sample inputs and targets must be finite numbers")
+    return x, y
 
 
 def _data_spans(x: np.ndarray) -> np.ndarray:
@@ -256,11 +263,14 @@ def _data_spans(x: np.ndarray) -> np.ndarray:
 def init_fis(
     train: list[tuple[np.ndarray, float]], radius: float
 ) -> AnfisModel:
-    """Build a Sugeno model from training data via subtractive clustering.
+    """The rule base of a Sugeno model, by subtractive clustering of the
+    training inputs.
 
     One rule per cluster center: premise centers at the cluster
-    coordinates, widths radius * span / sqrt(8) per dimension, shape
-    exponent 1, and consequents fitted by least squares.
+    coordinates, widths radius * span / sqrt(8) per dimension, and shape
+    exponent 1.  The consequents are zero; a caller fits them at these
+    premises (``fit_consequents_least_squares`` or
+    ``fit_consequents_ridge``), as tuning does after every search.
     """
     if not train:
         raise DataError("init_fis needs non-empty training data")
@@ -272,12 +282,11 @@ def init_fis(
     premises = np.stack(
         [centers, np.broadcast_to(widths, centers.shape), np.ones_like(centers)], axis=-1
     )
-    model = AnfisModel(
+    return AnfisModel(
         premises=premises,
         consequents=np.zeros((len(centers), x.shape[1] + 1)),
         input_normalization=spans,
     )
-    return fit_consequents_least_squares(model, train)
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -411,15 +420,9 @@ def mape(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
         raise DataError("mape needs a non-empty dataset")
     x, y = _stack_samples(dataset)
     if np.any(y == 0.0):
-        raise ValueError("mape undefined for zero targets")
+        raise DataError("mape undefined for zero targets")
     errors = forward_batch(model, x) - y
     return float(np.mean(np.abs(errors / y)) * 100.0)
-
-
-def parameter_vector(model: AnfisModel) -> np.ndarray:
-    """Flatten the tunable parameters in the documented fixed order:
-    per rule, per input dimension (m, l, k)."""
-    return model.premises.ravel()
 
 
 def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, int]:
@@ -436,10 +439,10 @@ def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> tuple[n
 def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> AnfisModel:
     """Scale every premise parameter of a base model multiplicatively.
 
-    Each parameter of the returned model equals its initial value times
-    the matching coefficient (ordered as in ``parameter_vector``); the
-    consequents are kept.  Width and shape parameters that would become
-    nonpositive are clamped to 1e-6 and a diagnostic is recorded.
+    Coefficient i scales ``premises.ravel()[i]``: per rule, per input,
+    (m, l, k).  The consequents are kept.  Width and shape parameters
+    that would become nonpositive are clamped to 1e-6 and a diagnostic
+    is recorded.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (model0.n_parameters,):
@@ -467,32 +470,3 @@ def model_to_dict(model: AnfisModel) -> dict:
         "input_normalization": model.input_normalization.tolist(),
         "diagnostics": list(model.diagnostics),
     }
-
-
-def model_from_dict(payload: dict) -> AnfisModel:
-    """The model a ``model_to_dict`` payload describes; ``DataError`` if
-    the payload is not one."""
-    try:
-        rules = payload["rules"]
-        model = AnfisModel(
-            premises=[spec["premises"] for spec in rules],
-            consequents=[spec["consequent"] for spec in rules],
-            input_normalization=payload["input_normalization"],
-            diagnostics=tuple(payload.get("diagnostics", ())),
-        )
-        input_dim = payload["input_dim"]
-    except DataError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged arrays
-        raise DataError(f"malformed model description: {exc!r}") from exc
-    if model.input_dim != input_dim:
-        raise DataError(f"input_dim {input_dim} does not match the premises")
-    return model
-
-
-def save_model(model: AnfisModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2))
-
-
-def load_model(path: str | Path) -> AnfisModel:
-    return model_from_dict(read_json(path, "model"))

@@ -144,15 +144,9 @@ def config_from_dict(payload: dict) -> PipelineConfig:
             )
         except (TypeError, ValueError) as exc:
             raise DataError(f"criteria_kinds: {exc}") from exc
-    simple_keys = (
-        "cluster_radius", "split_fraction", "cv_folds", "seed",
-        "population_size", "max_iterations", "flight_length",
-        "ap_min", "ap_max", "runs", "coefficient_mode",
-        "anfis_inputs", "ordinal_values", "missing_value",
-    )
-    for key in simple_keys:
-        if key in payload:
-            kwargs[key] = payload.pop(key)
+    for f in fields(PipelineConfig):
+        if f.name in payload:
+            kwargs[f.name] = payload.pop(f.name)
     if payload:
         raise DataError(f"unknown configuration keys: {sorted(payload)}")
     return PipelineConfig(**kwargs)

@@ -154,7 +154,7 @@ def tune_anfis_with_ecsa(
     if base_model is None:
         base_model = anfis.init_fis(train, config.cluster_radius)
     # The tuned models replace the base consequents, so they carry none of
-    # the notes of the base's own fit.
+    # the notes of a supplied base's own fit.
     base_model = replace(base_model, diagnostics=())
     objective = anfis.scaling_objective(base_model, train)
     n_coeff = base_model.n_parameters

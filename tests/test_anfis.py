@@ -17,13 +17,10 @@ from riskfuse.anfis import (
     forward,
     forward_batch,
     init_fis,
-    load_model,
     mape,
-    model_from_dict,
     model_to_dict,
-    parameter_vector,
     rmse,
-    save_model,
+    scaling_objective,
     subtractive_clustering,
 )
 from riskfuse.errors import DataError, NumericalError
@@ -252,15 +249,25 @@ class TestSubtractiveClustering:
 
 
 class TestInitFis:
+    def test_rule_base_only(self, rng):
+        xs = rng.uniform(0.0, 1.0, size=(30, 2))
+        model = init_fis([(x, float(x.sum())) for x in xs], radius=0.5)
+        assert not model.consequents.any()
+        assert model.diagnostics == ()
+        assert model.premises[..., 1:].min() > 0.0
+        assert model.input_normalization == pytest.approx(
+            np.column_stack([xs.min(axis=0), xs.max(axis=0)])
+        )
+
     def test_recovers_global_linear_function(self, rng):
         u = rng.uniform(0.0, 1.0, size=60)
         train = [(np.array([x]), 2.0 * x + 1.0) for x in u]
-        model = init_fis(train, radius=2.0)
+        model = fit_consequents_least_squares(init_fis(train, radius=2.0), train)
         assert rmse(model, train) < 1e-6
 
     def test_single_training_point(self):
         train = [(np.array([0.4]), 0.9)]
-        model = init_fis(train, radius=0.5)
+        model = fit_consequents_least_squares(init_fis(train, radius=0.5), train)
         assert model.n_rules == 1
         assert forward(model, np.array([0.4])) == pytest.approx(0.9)
 
@@ -371,23 +378,62 @@ class TestErrorMetrics:
 
     def test_mape_zero_target_rejected(self, rng):
         model = random_model(rng, dim=1, n_rules=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="zero targets"):
             mape(model, [(np.array([0.5]), 0.0)])
+
+
+BAD_SAMPLES = {
+    "ragged-inputs": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3]), 2.0)],
+    "input-matrix": [(np.array([[0.1, 0.2]]), 1.0), (np.array([[0.3, 0.4]]), 2.0)],
+    "text-input": [(np.array([0.1, 0.2]), 1.0), (["a", 0.4], 2.0)],
+    "nan-input": [(np.array([0.1, 0.2]), 1.0), (np.array([np.nan, 0.4]), 2.0)],
+    "text-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), "high")],
+    "vector-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), [2.0, 3.0])],
+    "none-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), None)],
+    "nan-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), float("nan"))],
+    "inf-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), float("inf"))],
+}
+
+ENTRY_POINTS = {
+    "init_fis": lambda model, samples: init_fis(samples, radius=0.5),
+    "least_squares": fit_consequents_least_squares,
+    "ridge": fit_consequents_ridge,
+    "scaling_objective": scaling_objective,
+    "rmse": rmse,
+    "mape": mape,
+}
+
+
+class TestSampleBoundary:
+    """Every entry point that takes (input, target) samples rejects a
+    malformed list with ``DataError``."""
+
+    @pytest.mark.parametrize("samples", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_malformed_samples_rejected(self, rng, entry, samples):
+        with pytest.raises(DataError, match="sample"):
+            entry(random_model(rng, dim=2, n_rules=2), samples)
+
+    def test_scalar_inputs_are_one_input(self, rng):
+        model = random_model(rng, dim=1, n_rules=2)
+        scalars = [(0.25, 1.0), (0.75, 2.0)]
+        vectors = [(np.array([u]), y) for u, y in scalars]
+        assert rmse(model, scalars) == rmse(model, vectors)
 
 
 class TestParameterScaling:
     def test_identity_coefficients(self, rng):
         model = random_model(rng, dim=2, n_rules=2)
         scaled = apply_parameter_scaling(model, np.ones(model.n_parameters))
-        assert parameter_vector(scaled) == pytest.approx(parameter_vector(model))
+        assert scaled.premises == pytest.approx(model.premises)
 
     def test_single_width_doubles(self, rng):
         model = random_model(rng, dim=2, n_rules=2)
         coefficients = np.ones(model.n_parameters)
         coefficients[1] = 2.0  # width of rule 0, dimension 0
         scaled = apply_parameter_scaling(model, coefficients)
-        before = parameter_vector(model)
-        after = parameter_vector(scaled)
+        before = model.premises.ravel()
+        after = scaled.premises.ravel()
         assert after[1] == pytest.approx(2.0 * before[1])
         mask = np.ones(model.n_parameters, dtype=bool)
         mask[1] = False
@@ -406,14 +452,19 @@ class TestParameterScaling:
         with pytest.raises(DataError):
             apply_parameter_scaling(model, np.ones(model.n_parameters + 1))
 
-    def test_flattening_order(self):
-        model = make_model(
-            [[(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]],
-            [[7.0, 8.0, 9.0]],
-        )
-        # Premises only: the consequents are fitted, not tuned.
-        assert parameter_vector(model) == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert model.n_parameters == 6
+    def test_flattening_order(self, rng):
+        # Coefficient i scales premises.ravel()[i]: per rule, per input,
+        # (m, l, k).  Premises only: the consequents are fitted, not tuned.
+        model = random_model(rng, dim=2, n_rules=3)
+        assert model.n_parameters == 18
+        for i in range(model.n_parameters):
+            coefficients = np.ones(model.n_parameters)
+            coefficients[i] = 3.0
+            scaled = apply_parameter_scaling(model, coefficients)
+            expected = model.premises.ravel().copy()
+            expected[i] *= 3.0
+            assert scaled.premises.ravel().tobytes() == expected.tobytes()
+            assert scaled.consequents.tobytes() == model.consequents.tobytes()
 
 
 class TestGradients:
@@ -440,38 +491,18 @@ class TestGradients:
                     assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
 
-class TestSerialization:
-    def test_input_dim_must_match_premises(self, rng):
-        payload = model_to_dict(random_model(rng, dim=2, n_rules=1))
-        payload["input_dim"] = 3
-        with pytest.raises(DataError, match="input_dim"):
-            model_from_dict(payload)
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {},
-            {"rules": 5},
-            {"input_dim": 1, "rules": [{"premises": [[0.5, 1.0, 1.0]]}],
-             "input_normalization": [[0.0, 1.0]]},
-        ],
-        ids=["empty", "rules-not-a-list", "rule-without-consequent"],
-    )
-    def test_payload_that_is_no_model_is_data_error(self, payload, tmp_path):
-        with pytest.raises(DataError, match="malformed model"):
-            model_from_dict(payload)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="malformed model"):
-            load_model(path)
-
-    def test_round_trip(self, rng, tmp_path):
+class TestModelToDict:
+    def test_layout(self, rng):
         model = random_model(rng, dim=2, n_rules=3)
-        clone = model_from_dict(model_to_dict(model))
-        assert parameter_vector(clone) == pytest.approx(parameter_vector(model))
-        assert clone.consequents == pytest.approx(model.consequents)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        x = rng.uniform(0, 1, size=2)
-        assert forward(loaded, x) == pytest.approx(forward(model, x))
+        model = replace(model, diagnostics=("a note",))
+        payload = model_to_dict(model)
+        assert list(payload) == ["input_dim", "rules", "input_normalization", "diagnostics"]
+        assert payload["input_dim"] == 2
+        assert len(payload["rules"]) == 3
+        for rule, premises, consequent in zip(payload["rules"], model.premises, model.consequents):
+            assert list(rule) == ["premises", "consequent"]
+            assert rule["premises"] == premises.tolist()
+            assert rule["consequent"] == consequent.tolist()
+        assert payload["input_normalization"] == model.input_normalization.tolist()
+        assert payload["diagnostics"] == ["a note"]
+        assert json.loads(json.dumps(payload)) == payload  # JSON-native lists and numbers

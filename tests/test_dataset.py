@@ -1,4 +1,5 @@
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -214,6 +215,34 @@ class TestConfig:
         )
         assert config.scale.name == "tiny"
         assert "hi" in config.scale
+
+    def test_every_field_settable(self):
+        payload = {
+            "scale": {"name": "tiny", "labels": ["lo", "hi"], "tfns": [[0, 0, 0.5], [0.5, 1, 1]]},
+            "cluster_radius": 0.4,
+            "split_fraction": 0.6,
+            "cv_folds": 4,
+            "seed": 5,
+            "population_size": 6,
+            "max_iterations": 7,
+            "flight_length": 1.5,
+            "ap_min": 0.2,
+            "ap_max": 0.7,
+            "runs": 3,
+            "coefficient_mode": "signed",
+            "anfis_inputs": "codes",
+            "ordinal_values": {"low": 0.1, "high": 0.9},
+            "missing_value": 0.3,
+            "criteria_kinds": ["cost"],
+        }
+        assert set(payload) == {f.name for f in fields(PipelineConfig)}
+        config, default = config_from_dict(payload), PipelineConfig()
+        for name, value in payload.items():
+            assert getattr(config, name) != getattr(default, name), name
+            if name not in ("scale", "criteria_kinds"):
+                assert getattr(config, name) == value
+        assert config.scale.name == "tiny"
+        assert config.criteria_kinds == (CriterionKind.COST,)
 
     def test_criteria_kinds_parsed_and_checked(self):
         config = config_from_dict({"criteria_kinds": ["benefit", "cost"]})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from riskfuse import anfis, dematel
 from riskfuse.anfis import (
     AnfisModel,
     apply_parameter_scaling,
+    fit_consequents_least_squares,
     fit_consequents_ridge,
     init_fis,
-    parameter_vector,
     rmse,
     scaling_objective,
 )
-from riskfuse.config import PipelineConfig
+from riskfuse.config import PipelineConfig, config_from_dict
 from riskfuse.dataset import FeatureMapping, bundled_path
 from riskfuse.ecsa import EcsaConfig, optimize
 from riskfuse.errors import DataError, PipelineError
@@ -29,6 +30,7 @@ from riskfuse.pipeline import (
     split_train_test,
     tune_anfis_with_ecsa,
 )
+from riskfuse.reporting import report_to_json
 from riskfuse.topsis import CriterionKind, IfDecisionMatrix, rank_weighted
 
 TFN = TriangularFuzzyNumber
@@ -114,6 +116,7 @@ class TestCvFolds:
 class TestTuning:
     def test_winner_is_a_kept_run_model(self, nasa_records, catalog, quick_config):
         _, fold, base = _fold0(nasa_records, catalog, "groups")
+        base = fit_consequents_least_squares(base, fold)
         assert any(d.startswith("rank-deficient") for d in base.diagnostics)
         tuning = tune_anfis_with_ecsa(fold, fold[:10], quick_config, base_model=base)
         assert len(tuning.coefficients) == 3 * base.n_rules * base.input_dim
@@ -131,8 +134,7 @@ class TestTuning:
         samples = bumpy_samples(rng)
         train, test = split_train_test(samples, 0.7, seed=2)
         base = init_fis(train, config.cluster_radius)
-        widened = parameter_vector(base).copy()
-        coefficients = np.ones_like(widened)
+        coefficients = np.ones(base.n_parameters)
         dim = base.input_dim
         for j in range(base.n_rules):
             for d in range(dim):
@@ -143,6 +145,23 @@ class TestTuning:
         tuning = tune_anfis_with_ecsa(train, test, config, base_model=perturbed)
         assert tuning.train_rmse <= tuning.base_train_rmse
         assert tuning.train_rmse < 0.95 * tuning.base_train_rmse
+
+    def test_base_consequents_ignored(self, nasa_records, catalog, quick_config):
+        """Tuning reads only the base premises: random consequents and a
+        diagnostic note on the base change no result."""
+        _, fold, base = _fold0(nasa_records, catalog, "groups")
+        noisy = replace(
+            base,
+            consequents=np.random.default_rng(9).normal(size=base.consequents.shape),
+            diagnostics=("a note",),
+        )
+        plain = tune_anfis_with_ecsa(fold, fold[:10], quick_config, base_model=base)
+        tuned = tune_anfis_with_ecsa(fold, fold[:10], quick_config, base_model=noisy)
+        assert tuned.coefficients.tobytes() == plain.coefficients.tobytes()
+        assert tuned.model.consequents.tobytes() == plain.model.consequents.tobytes()
+        assert tuned.model.diagnostics == plain.model.diagnostics
+        assert tuned.run_stats == plain.run_stats
+        assert tuned.base_train_rmse == plain.base_train_rmse
 
     def test_deterministic_under_master_seed(self, rng, quick_config):
         samples = bumpy_samples(rng, n=40)
@@ -273,6 +292,27 @@ class TestSearchObjective:
         assert not np.array_equal(result.best_position, candidate)
 
 
+class TestGoldenReport:
+    """The seed-11 JSON reports under the benchmark's two pipeline
+    configs, pinned bit for bit: any change to a report's bytes must be
+    deliberate and re-pin these digests."""
+
+    @pytest.mark.parametrize(
+        "payload, digest",
+        [
+            ({"runs": 1},
+             "f10d67fa002f2bbb77e3769cc192b109a1695766d4a467f5ae92e34885e42ac0"),
+            ({"anfis_inputs": "codes", "runs": 1, "max_iterations": 6},
+             "283a83838723d7f25020b9ecad54b9c0f53e0ab2e21a6566af940ee6b7e717be"),
+        ],
+        ids=["groups", "codes"],
+    )
+    def test_report_digest_pinned(self, nasa_records, respondent_fixture, payload, digest):
+        config = config_from_dict({**payload, "seed": 11})
+        text = report_to_json(run_pipeline(nasa_records, respondent_fixture, config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestHeldoutGuard:
     @pytest.mark.parametrize("seed", range(41, 46))
     def test_heldout_rmse_bounded(self, nasa_records, respondent_fixture, seed):
@@ -286,7 +326,7 @@ class TestHeldoutGuard:
 class TestScoresAndAggregate:
     def test_training_point_scored_close(self, rng, quick_config):
         samples = linear_samples(rng, n=40)
-        model = init_fis(samples, quick_config.cluster_radius)
+        model = fit_consequents_least_squares(init_fis(samples, quick_config.cluster_radius), samples)
         x, y = samples[0]
         model_rmse = rmse(model, samples)
         scores = potential_scores(model, [x])
@@ -294,7 +334,7 @@ class TestScoresAndAggregate:
 
     def test_identical_factors_identical_scores(self, rng, quick_config):
         samples = linear_samples(rng, n=40)
-        model = init_fis(samples, quick_config.cluster_radius)
+        model = fit_consequents_least_squares(init_fis(samples, quick_config.cluster_radius), samples)
         probe = samples[0][0]
         scores = potential_scores(model, [probe, probe])
         assert scores[0] == scores[1]
