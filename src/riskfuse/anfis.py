@@ -126,26 +126,16 @@ def _membership_matrix(
     return w
 
 
-def _normalize(w: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Firing strengths w normalized over the rule ``axis``, plus the mask
+def _strengths(
+    premises: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Firing strengths of ``_membership_matrix`` normalized over the rule
+    axis, shape (..., n_rules, n_samples), plus the (..., n_samples) mask
     of samples where every activation underflowed; those stay at zero."""
-    totals = w.sum(axis=axis, keepdims=True)
+    w = _membership_matrix(premises, levels)
+    totals = w.sum(axis=-2, keepdims=True)
     dead = totals <= 0.0
-    return w / np.where(dead, 1.0, totals), dead.squeeze(axis)
-
-
-def _row_strengths(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., rules, samples) firing strengths w normalized per row, as
-    (..., n_samples, n_rules), plus the (..., n_samples) mask of dead rows
-    (see ``_normalize``).  The rule sums run over a contiguous axis, which
-    pins their rounding order."""
-    return _normalize(np.ascontiguousarray(np.swapaxes(w, -1, -2)), axis=-1)
-
-
-def _normalized_strengths(premises: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row normalized firing strengths of the premises for the rows
-    of x; see ``_row_strengths``."""
-    return _row_strengths(_membership_matrix(premises, _input_levels(x, premises.shape[-2])))
+    return w / np.where(dead, 1.0, totals), dead[..., 0, :]
 
 
 def _require_alive(dead: np.ndarray) -> None:
@@ -175,9 +165,9 @@ def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
         NumericalError: if every rule activation underflows to zero.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    wbar, dead = _normalized_strengths(model.premises, x)
+    wbar, dead = _strengths(model.premises, _input_levels(x, model.input_dim))
     _require_alive(dead)
-    return (wbar * _rule_outputs(model.consequents, x)).sum(axis=1)
+    return (wbar * _rule_outputs(model.consequents, x).T).sum(axis=0)
 
 
 def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
@@ -241,6 +231,8 @@ def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
         y = np.array([target for _, target in samples], dtype=float)
     except (TypeError, ValueError) as exc:  # ValueError: ragged or non-numeric
         raise DataError(f"samples must be numeric (input, target) pairs: {exc}") from exc
+    if len(y) == 0:
+        raise DataError("samples must hold at least one (input, target) pair")
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or y.ndim != 1:
@@ -272,8 +264,6 @@ def init_fis(
     premises (``fit_consequents_least_squares`` or
     ``fit_consequents_ridge``), as tuning does after every search.
     """
-    if not train:
-        raise DataError("init_fis needs non-empty training data")
     x, _ = _stack_samples(train)
 
     centers = subtractive_clustering(x, radius)
@@ -293,6 +283,14 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.column_stack([x, np.ones(len(x))])
 
 
+def _design_t(wbar: np.ndarray, augmented: np.ndarray) -> np.ndarray:
+    """The rule design transposed, (..., rules * (inputs + 1), n), for the
+    (..., rules, n) normalized strengths: row (j, d) holds wbar_j * x_d,
+    with the bias column of ``augmented`` last."""
+    design_t = wbar[..., None, :] * np.ascontiguousarray(augmented.T)  # (..., R, D + 1, n)
+    return design_t.reshape(wbar.shape[:-2] + (-1, wbar.shape[-1]))
+
+
 def fit_consequents_least_squares(
     model: AnfisModel, train: list[tuple[np.ndarray, float]]
 ) -> AnfisModel:
@@ -303,14 +301,10 @@ def fit_consequents_least_squares(
     designs do not fail; the minimum-norm solution is used and a
     diagnostic is recorded on the returned model.
     """
-    if not train:
-        raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
-    wbar, dead = _normalized_strengths(model.premises, x)
+    wbar, dead = _strengths(model.premises, _input_levels(x, model.input_dim))
     _require_alive(dead)
-    # Design columns per rule j: wbar_j * x_d for each d, then wbar_j.
-    design = (wbar[:, :, None] * _augment(x)[:, None, :]).reshape(len(x), -1)
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(_design_t(wbar, _augment(x)).T, y, rcond=None)
     consequents = solution.reshape(model.consequents.shape)
     diagnostics = model.diagnostics
     if rank < consequents.size:
@@ -330,23 +324,21 @@ def _ridge_fit(
     Solves on the smaller side of the n x p rule design A, p = rules *
     (inputs + 1): the primal (A^T A + RIDGE n I) theta = A^T y when p < n,
     else the dual alpha = solve(K + RIDGE n I, y), whose kernel A A^T is
-    (wbar wbar^T) * [x 1][x 1]^T, with theta = A^T alpha and training
-    residual RIDGE n alpha.  Returns the (..., rules, inputs + 1)
-    consequents, the (...) training RMSE and the (..., n) mask of rows
-    whose activations all underflow.
+    (wbar^T wbar) * [x 1][x 1]^T for the (rules, n) strengths wbar, with
+    theta = A^T alpha and training residual RIDGE n alpha.  Returns the
+    (..., rules, inputs + 1) consequents, the (...) training RMSE and the
+    (..., n) mask of rows whose activations all underflow.
     """
     augmented = _augment(x)
     n, rules = len(y), premises.shape[-3]
+    wbar, dead = _strengths(premises, levels)
     if rules * augmented.shape[1] >= n:
-        wbar, dead = _row_strengths(_membership_matrix(premises, levels))
-        kernel = (wbar @ np.swapaxes(wbar, -1, -2)) * (augmented @ augmented.T)
+        kernel = (np.swapaxes(wbar, -1, -2) @ wbar) * (augmented @ augmented.T)
         kernel += RIDGE * n * np.eye(n)
         alpha = np.linalg.solve(kernel, y)
-        consequents = np.swapaxes(wbar * alpha[..., None], -1, -2) @ augmented
+        consequents = (wbar * alpha[..., None, :]) @ augmented
         return consequents, RIDGE * math.sqrt(n) * np.linalg.norm(alpha, axis=-1), dead
-    wbar, dead = _normalize(_membership_matrix(premises, levels), axis=-2)
-    design_t = wbar[..., None, :] * np.ascontiguousarray(augmented.T)  # (..., R, D + 1, n)
-    design_t = design_t.reshape(wbar.shape[:-2] + (-1, n))
+    design_t = _design_t(wbar, augmented)
     lhs = design_t @ np.swapaxes(design_t, -1, -2)
     lhs += RIDGE * n * np.eye(lhs.shape[-1])
     theta = np.linalg.solve(lhs, (design_t @ y)[..., None])[..., 0]
@@ -366,8 +358,6 @@ def fit_consequents_ridge(
     when rules outnumber what the rows can pin down, where the
     minimum-norm least-squares fit interpolates.
     """
-    if not train:
-        raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
     consequents, _, dead = _ridge_fit(model.premises, _input_levels(x, model.input_dim), x, y)
     _require_alive(dead)
@@ -387,8 +377,6 @@ def scaling_objective(
     An infeasible candidate, under which every activation of some
     training row underflows, scores +inf.
     """
-    if not train:
-        raise DataError("cannot fit consequents on empty data")
     x, y = _stack_samples(train)
     levels = _input_levels(x, model0.input_dim)
 
@@ -408,16 +396,12 @@ def scaling_objective(
 
 def rmse(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
     """Root mean squared prediction error over a dataset."""
-    if not dataset:
-        raise DataError("rmse needs a non-empty dataset")
     x, y = _stack_samples(dataset)
     return float(np.sqrt(np.mean((forward_batch(model, x) - y) ** 2)))
 
 
 def mape(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
     """Mean absolute percentage error; every target must be nonzero."""
-    if not dataset:
-        raise DataError("mape needs a non-empty dataset")
     x, y = _stack_samples(dataset)
     if np.any(y == 0.0):
         raise DataError("mape undefined for zero targets")

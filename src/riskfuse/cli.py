@@ -27,7 +27,7 @@ import numpy as np
 from .config import PipelineConfig, _scale_from_dict, load_config
 from .dataset import FeatureMapping, bundled_path, default_catalog, load_dataset
 from .dematel import aggregate_responses, evaluate as dematel_evaluate
-from .ecsa import BENCHMARKS, EcsaConfig, classical_csa, optimize, random_search
+from .ecsa import BENCHMARKS, MAX_COUNT, EcsaConfig, classical_csa, optimize, random_search
 from .errors import DataError, NumericalError, RiskfuseError, read_json
 from .fuzzy import IntuitionisticFuzzyValue, LinguisticScale
 from .pipeline import cross_validate, prepare_samples, run_pipeline
@@ -44,13 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _count(text: str) -> int:
+    """A positive integer that numpy can size an array axis by."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if not 1 <= value <= MAX_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer of at most {MAX_COUNT}, got {text!r}"
+        )
     return value
 
 
@@ -250,10 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench-ecsa", help="optimizer benchmark harness")
     bench.add_argument("--function", choices=("sphere", "rastrigin", "both"), default="sphere")
-    bench.add_argument("--runs", type=_positive_int, default=20)
-    bench.add_argument("--dimensions", type=int, default=5)
-    bench.add_argument("--population", type=int, default=10)
-    bench.add_argument("--iterations", type=int, default=100)
+    bench.add_argument("--runs", type=_count, default=20)
+    bench.add_argument("--dimensions", type=_count, default=5)
+    bench.add_argument("--population", type=_count, default=10)
+    bench.add_argument("--iterations", type=_count, default=100)
     bench.set_defaults(func=_cmd_bench_ecsa)
     return parser
 

@@ -14,7 +14,7 @@ from numbers import Integral, Real
 from pathlib import Path
 
 from .dataset import DEFAULT_ORDINAL_VALUES
-from .ecsa import EcsaConfig
+from .ecsa import EcsaConfig, check_count
 from .errors import DataError, read_json
 from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale, TriangularFuzzyNumber
 from .topsis import CriterionKind
@@ -69,8 +69,7 @@ class PipelineConfig:
             raise DataError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.cluster_radius <= 0:
             raise DataError(f"cluster_radius must be positive, got {self.cluster_radius}")
-        if self.runs < 1:
-            raise DataError(f"runs must be >= 1, got {self.runs}")
+        check_count("runs", self.runs)
         if self.coefficient_mode not in ("magnitude", "signed"):
             raise DataError(
                 f"coefficient_mode must be 'magnitude' or 'signed', "

@@ -33,6 +33,9 @@ from .errors import DataError, RiskfuseError
 
 RING_REACH = 2  # neighbors on each side of the shuffled ring (size 5 total)
 
+# The longest array axis numpy can size: the cap on every count.
+MAX_COUNT = int(np.iinfo(np.intp).max)
+
 # A batch objective: (crows, dim) positions in, one value per row out.
 Objective = Callable[[np.ndarray], "np.ndarray | float"]
 
@@ -71,10 +74,8 @@ class EcsaConfig:
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise DataError(f"{name} must be an integer, got {value!r}")
-        if self.population_size < 2:
-            raise DataError(f"population_size must be >= 2, got {self.population_size}")
-        if self.max_iterations < 1:
-            raise DataError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        check_count("population_size", self.population_size, least=2)
+        check_count("max_iterations", self.max_iterations)
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.flight_length < math.inf):
@@ -117,6 +118,12 @@ class EcsaConfig:
     def evaluation_budget(self) -> int:
         """Objective evaluations one run consumes (init + per-iteration)."""
         return self.population_size * (self.max_iterations + 1)
+
+
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """``DataError`` unless the integer ``least <= value <= MAX_COUNT``."""
+    if not least <= value <= MAX_COUNT:
+        raise DataError(f"{name} must be in [{least}, {MAX_COUNT}], got {value}")
 
 
 @dataclass(frozen=True)

@@ -148,13 +148,13 @@ def _random_model(rng):
 
 
 def test_acceptance_04_anfis_structural_invariants():
-    from riskfuse.anfis import _normalized_strengths, _rule_outputs
+    from riskfuse.anfis import _input_levels, _rule_outputs, _strengths
 
     rng = np.random.default_rng(104)
     for _ in range(1000):
         model = _random_model(rng)
         x = rng.uniform(-1.0, 2.0, size=model.input_dim)
-        wbar = _normalized_strengths(model.premises, x[None, :])[0]
+        wbar = _strengths(model.premises, _input_levels(x[None, :], model.input_dim))[0][:, 0]
         assert abs(wbar.sum() - 1.0) < 1e-9
         assert np.all(wbar >= 0.0)
         outputs = _rule_outputs(model.consequents, x)

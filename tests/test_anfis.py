@@ -271,10 +271,6 @@ class TestInitFis:
         assert model.n_rules == 1
         assert forward(model, np.array([0.4])) == pytest.approx(0.9)
 
-    def test_empty_train_rejected(self):
-        with pytest.raises(DataError):
-            init_fis([], radius=0.5)
-
 
 class TestLeastSquaresFit:
     def test_recovers_known_consequents(self, rng):
@@ -392,6 +388,7 @@ BAD_SAMPLES = {
     "none-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), None)],
     "nan-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), float("nan"))],
     "inf-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), float("inf"))],
+    "empty": [],
 }
 
 ENTRY_POINTS = {

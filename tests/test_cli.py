@@ -4,12 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riskfuse.cli import cli_main
 from riskfuse.config import PipelineConfig
-from riskfuse.dataset import bundled_path
-from riskfuse.errors import NumericalError
+from riskfuse.dataset import RATING_COLUMNS, bundled_path, load_dataset
+from riskfuse.errors import DataError, NumericalError
 from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE
 
 
@@ -200,6 +200,116 @@ class TestRankBoundary:
         assert cli_main(["rank", "--matrix", str(path)]) in (0, 1, 2, 3)
 
 
+# Dataset files: header names the loader maps (ratings, size, effort,
+# id) plus an unknown column, and tokens of every kind it must parse or
+# reject.  The bundled header with well-formed tokens reaches tuning.
+_NASA_HEADER = bundled_path("nasa93.csv").read_text().splitlines()[0].split(",")
+_HEADER_NAMES = st.sampled_from(
+    list(RATING_COLUMNS) + ["kloc", "effort", "recordnumber", "projectname", "mystery"]
+)
+_ORDINAL_TOKENS = st.sampled_from(
+    ["vl", "l", "n", "h", "vh", "xh", "very_low", "nominal", "extra_high", "", "?", "NA"]
+)
+_NUMBER_TOKENS = st.sampled_from(["1", "2.5", "7", "40", "120", "?"])
+_TOKENS = _ORDINAL_TOKENS | _NUMBER_TOKENS | st.sampled_from(
+    ["garbage", "0", "-1", "1e400", "inf", "-inf", "nan", '"', "'", '"a,b"', "@data", "%"]
+) | st.text(max_size=3)
+
+
+@st.composite
+def _dataset_files(draw):
+    """(suffix, text) of a CSV or ARFF file: a drawn header, rows of
+    drawn tokens, and rows whose field count may miss the header's."""
+    header = draw(st.just(_NASA_HEADER) | st.lists(_HEADER_NAMES, max_size=6))
+    well_formed = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 20))):
+        if well_formed:
+            cells = [_ORDINAL_TOKENS if name in RATING_COLUMNS else _NUMBER_TOKENS
+                     for name in header]
+        else:
+            cells = [_TOKENS] * draw(st.integers(0, len(header) + 2))
+        rows.append(",".join(draw(tokens) for tokens in cells))
+    if draw(st.booleans()):
+        return "csv", "\n".join([",".join(header), *rows]) + "\n"
+    attributes = [f"@attribute {name} real" for name in header]
+    data = ["@data"] if draw(st.booleans()) else []
+    return "arff", "\n".join(["@relation drawn", *attributes, *data, *rows]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def quick_config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("quick") / "quick.json"
+    path.write_text(json.dumps({"runs": 1, "max_iterations": 4, "population_size": 4}))
+    return str(path)
+
+
+class TestDatasetBoundary:
+    @settings(settings.get_profile("boundary"), max_examples=100)
+    @given(file=_dataset_files())
+    def test_every_file_loads_or_is_data_error(self, file, quick_config_path, tmp_path_factory):
+        suffix, text = file
+        path = tmp_path_factory.mktemp("dataset") / f"data.{suffix}"
+        path.write_text(text)
+        try:
+            assert isinstance(load_dataset(path), list)
+        except DataError:
+            pass
+        assert cli_main(["--config", quick_config_path, "tune", "--data", str(path)]) in (0, 2, 3)
+
+
+_HUGE = str(2**70)  # above any count numpy can size an array axis by
+_COUNT = st.integers(-1, 3).map(str)
+
+
+@st.composite
+def _argvs(draw):
+    """Command lines: drawn global flags, then a subcommand with its
+    required arguments, or an unknown one.  ``{config}`` stands for the
+    quick config, under which tune and pipeline always run to keep each
+    example small, and ``{out}`` for a scratch directory."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-2, 3) | st.integers(2**64 - 1, 2**70)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "xml"]))]
+    if draw(st.booleans()):
+        argv += ["--out", "{out}/" + draw(st.sampled_from(["r.json", "r.csv", "r"]))]
+    command = draw(st.sampled_from(["weights", "tune", "rank", "pipeline", "bench-ecsa", "nope"]))
+    if command in ("tune", "pipeline"):
+        argv = ["--config", "{config}", *argv]
+    argv.append(command)
+    if command == "weights":
+        argv += ["--matrices", str(bundled_path("dematel_2x2.json"))]
+    elif command == "tune":
+        argv += ["--data", str(bundled_path("nasa93.arff"))]
+    elif command == "rank":
+        argv += ["--matrix", "{out}/missing.json"]
+    elif command == "bench-ecsa":
+        argv += ["--function", draw(st.sampled_from(["sphere", "rastrigin", "both", "cube"]))]
+        for flag in ("--runs", "--iterations", "--dimensions", "--population"):
+            # --runs and --iterations default to 20 and 100: always bound them.
+            if flag in ("--runs", "--iterations") or draw(st.booleans()):
+                argv += [flag, draw(_COUNT)]
+    return argv
+
+
+class TestArgumentBoundary:
+    @settings(settings.get_profile("boundary"), max_examples=60)
+    @given(argv=_argvs())
+    @example(argv=["bench-ecsa", "--runs", _HUGE])
+    # With --runs 2**70 too, a CLI that took the iteration count would
+    # fail at once instead of searching without end.
+    @example(argv=["bench-ecsa", "--iterations", _HUGE, "--runs", _HUGE])
+    @example(argv=["bench-ecsa", "--runs", "1", "--iterations", "1", "--dimensions", _HUGE])
+    @example(argv=["bench-ecsa", "--runs", "1", "--iterations", "1", "--population", _HUGE])
+    def test_every_argv_exits_cleanly(self, argv, quick_config_path, tmp_path_factory):
+        out = tmp_path_factory.mktemp("argv")
+        assert cli_main([arg.format(config=quick_config_path, out=out) for arg in argv]) in (
+            0, 1, 2, 3
+        )
+
+
 class TestRankCommand:
     def test_ranking_output(self, capsys, tmp_path):
         matrix = {
@@ -284,6 +394,13 @@ class TestExitCodes:
         path.write_bytes('{"r\u00e9sum\u00e9": 1}'.encode("latin-1"))
         assert cli_main([arg.format(path) for arg in command]) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["runs", "population_size"])
+    def test_oversized_config_count_is_data_error(self, key, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: 2**70}))
+        assert cli_main(["--config", str(path), "pipeline"]) == 2
+        assert f"{key} must be in [" in capsys.readouterr().err
 
     def test_wrong_config_type_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

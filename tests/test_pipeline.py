@@ -236,9 +236,9 @@ class TestSearchObjective:
         )
         batch[0] = 1.0
         premises, _ = anfis._scaled_premises(base.premises, batch)
-        wbar, _ = anfis._normalized_strengths(premises, x)
+        wbar, _ = anfis._strengths(premises, anfis._input_levels(x, base.input_dim))
         augmented = np.column_stack([x, np.ones(n)])
-        kernel = (wbar @ np.swapaxes(wbar, -1, -2)) * (augmented @ augmented.T)
+        kernel = (np.swapaxes(wbar, -1, -2) @ wbar) * (augmented @ augmented.T)
         alpha = np.linalg.solve(kernel + anfis.RIDGE * n * np.eye(n), y)
         dual = anfis.RIDGE * np.sqrt(n) * np.linalg.norm(alpha, axis=-1)
         assert scaling_objective(base, fold)(batch) == pytest.approx(dual, rel=1e-12)
