@@ -51,7 +51,6 @@ from .fuzzy import (
     DEFAULT_DEMATEL_SCALE,
     IntuitionisticFuzzyValue,
     LinguisticScale,
-    TriangularFuzzyNumber,
     cfcs_defuzzify,
     ifv_multiply,
     tfn_from_linguistic,
@@ -68,7 +67,6 @@ from .pipeline import (
 from .reporting import emit_report, read_report
 from .topsis import (
     CriterionKind,
-    IdealSolutions,
     IfDecisionMatrix,
     closeness,
     ideal_solutions,

@@ -147,8 +147,8 @@ def _require_alive(dead: np.ndarray) -> None:
 
 
 def _rule_outputs(consequents: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-rule consequent outputs q . x + s: shape (n_samples, n_rules)
-    for rows of x, or (n_rules,) for one input vector."""
+    """Per-rule consequent outputs q . x + s for the rows of x: shape
+    (n_samples, n_rules)."""
     return x @ consequents[:, :-1].T + consequents[:, -1]
 
 

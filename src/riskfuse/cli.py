@@ -7,7 +7,8 @@ Subcommands:
     pipeline    the full risk-evaluation run
     bench-ecsa  optimizer benchmark harness (sphere / rastrigin)
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (running out of memory
+included), 3 numerical failure.
 ``RISKFUSE_SEED`` provides a seed fallback when ``--seed`` is absent.
 """
 
@@ -282,6 +283,9 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 3
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("data error: out of memory; the inputs or counts are too large", file=sys.stderr)
         return 2
 
 

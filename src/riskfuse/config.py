@@ -13,10 +13,12 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import DEFAULT_ORDINAL_VALUES
 from .ecsa import EcsaConfig, check_count
 from .errors import DataError, read_json
-from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale, TriangularFuzzyNumber
+from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale
 from .topsis import CriterionKind
 
 # Coefficient search ranges for the parameter-scaling tuner.
@@ -91,7 +93,8 @@ class PipelineConfig:
         names, over a ``dim``-dimensional coefficient box."""
         shared = [f.name for f in fields(EcsaConfig) if f.name != "bounds"]
         return EcsaConfig(
-            bounds=(self.coefficient_bounds(),) * dim, **{k: getattr(self, k) for k in shared}
+            bounds=np.full((dim, 2), self.coefficient_bounds()),
+            **{k: getattr(self, k) for k in shared},
         )
 
     def kinds_for(self, n_criteria: int) -> tuple[CriterionKind, ...]:
@@ -114,14 +117,9 @@ def _is_real(value) -> bool:
 
 
 def _scale_from_dict(payload: dict) -> LinguisticScale:
-    try:
-        labels = tuple(payload["labels"])
-        tfns = tuple(TriangularFuzzyNumber(*triple) for triple in payload["tfns"])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed linguistic scale definition: {exc}") from exc
-    return LinguisticScale(
-        name=payload.get("name", "custom"), labels=labels, tfns=tfns
-    )
+    if not (isinstance(payload, dict) and {"labels", "tfns"} <= payload.keys()):
+        raise DataError("a linguistic scale must be an object with 'labels' and 'tfns'")
+    return LinguisticScale(payload.get("name", "custom"), payload["labels"], payload["tfns"])
 
 
 def config_from_dict(payload: dict) -> PipelineConfig:

@@ -211,7 +211,7 @@ def _build_record(columns: list[str], values: list[str], line: int, index: int) 
 
 
 def _load_csv(path: Path) -> list[ProjectRecord]:
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         rows = [(line, row) for line, row in enumerate(reader, start=1) if row]
     if not rows:
@@ -228,7 +228,7 @@ def _load_arff(path: Path) -> list[ProjectRecord]:
     records: list[ProjectRecord] = []
     in_data = False
     index = 0
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):

@@ -67,10 +67,7 @@ class DematelResult:
 def _judgment(cell, scale: LinguisticScale):
     """One judgment cell as an (l, m, u) triple; ``check_tfn`` validates it."""
     if isinstance(cell, str):
-        try:
-            return tfn_from_linguistic(cell, scale)
-        except KeyError as exc:
-            raise DataError(exc.args[0]) from None
+        return tfn_from_linguistic(cell, scale)
     triple = cell if isinstance(cell, (tuple, list)) and len(cell) == 3 else (cell,) * 3
     if not all(isinstance(v, Real) and not isinstance(v, bool) for v in triple):
         raise DataError(f"cannot interpret judgment cell {cell!r}")

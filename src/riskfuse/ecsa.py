@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from numbers import Integral
 from typing import Callable, Sequence
 
@@ -53,15 +52,17 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcsaConfig:
     """Search constants and the box the crows fly in.
 
+    ``bounds`` takes one (lower, upper) pair per dimension, as any
+    (dim, 2) table of numbers, and keeps it as one read-only float array.
     Defaults follow the reference protocol: 10 crows, 100 iterations,
     awareness probability between 0.1 and 0.8.
     """
 
-    bounds: tuple[tuple[float, float], ...]
+    bounds: np.ndarray
     population_size: int = 10
     max_iterations: int = 100
     flight_length: float = 2.0
@@ -84,28 +85,34 @@ class EcsaConfig:
             raise DataError(
                 f"need 0 <= ap_min < ap_max <= 1, got ({self.ap_min}, {self.ap_max})"
             )
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        object.__setattr__(self, "bounds", bounds)
-        if not bounds:
-            raise DataError("bounds must cover at least one dimension")
-        box = np.fromiter(chain.from_iterable(bounds), float, 2 * len(bounds)).reshape(-1, 2)
+        try:
+            # Column-major, so the lower and upper columns are contiguous.
+            box = np.array(self.bounds, dtype=float, order="F")
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"bounds must be numeric (lower, upper) pairs ({exc})") from None
+        if box.ndim != 2 or box.shape[1] != 2 or not len(box):
+            raise DataError(
+                f"bounds must be one (lower, upper) pair per dimension, at least one, "
+                f"got shape {box.shape}"
+            )
         if not np.isfinite(box).all():
             raise DataError("every bound must be finite")
         if (box[:, 0] >= box[:, 1]).any():
             raise DataError("every dimension needs lower < upper bound")
+        box.flags.writeable = False
+        object.__setattr__(self, "bounds", box)
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
 
-    # Built once per config: the moves read the box every iteration.
-    @cached_property
+    @property
     def lower(self) -> np.ndarray:
-        return _read_only([lo for lo, _ in self.bounds])
+        return self.bounds[:, 0]
 
-    @cached_property
+    @property
     def upper(self) -> np.ndarray:
-        return _read_only([hi for _, hi in self.bounds])
+        return self.bounds[:, 1]
 
     @cached_property
     def awareness_by_rank(self) -> np.ndarray:

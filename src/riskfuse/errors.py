@@ -33,11 +33,11 @@ class PipelineError(RiskfuseError):
 
 
 def read_json(path: str | Path, what: str):
-    """The JSON document in the UTF-8 file at ``path``; ``what`` names
-    the file in a ``DataError``."""
+    """The JSON document in the UTF-8 file at ``path``, which may start
+    with a byte-order mark; ``what`` names the file in a ``DataError``."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise DataError(f"{what} file not readable: {path} ({exc.strerror})") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep

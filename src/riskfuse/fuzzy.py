@@ -1,9 +1,10 @@
 """Fuzzy value types shared by the whole package.
 
-Provides triangular fuzzy numbers with linguistic scales, the CFCS
-(Converting Fuzzy data into Crisp Scores) defuzzification used to turn
-expert judgments into crisp matrices, and intuitionistic fuzzy values
-with the product operator needed for weighted decision matrices.
+Provides the check of triangular fuzzy (l, m, u) cells, linguistic
+scales, the CFCS (Converting Fuzzy data into Crisp Scores)
+defuzzification used to turn expert judgments into crisp matrices, and
+intuitionistic fuzzy values with the product operator needed for
+weighted decision matrices.
 """
 
 from __future__ import annotations
@@ -51,62 +52,47 @@ def check_tfn(cells: ArrayLike) -> np.ndarray:
     ))
 
 
-class TriangularFuzzyNumber(namedtuple("TriangularFuzzyNumber", "l m u")):
-    """Triangular fuzzy number (l, m, u) with l <= m <= u.
-
-    A validated triple, checked by ``check_tfn``.  Being a tuple, nested
-    sequences of numbers convert with ``np.asarray(..., float)``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, l: float, m: float, u: float):
-        return super().__new__(cls, *check_tfn((l, m, u)).tolist())
-
-    @classmethod
-    def _make(cls, iterable) -> "TriangularFuzzyNumber":
-        # namedtuple's _make (and so _replace) skips __new__; validate here too.
-        return cls(*iterable)
-
-    def scaled(self, factor: float) -> "TriangularFuzzyNumber":
-        """Return the TFN with every component multiplied by a positive factor."""
-        if factor <= 0:
-            raise DataError(f"scale factor must be positive, got {factor}")
-        return TriangularFuzzyNumber(self.l * factor, self.m * factor, self.u * factor)
-
-    @classmethod
-    def crisp(cls, value: float) -> "TriangularFuzzyNumber":
-        """Degenerate TFN (c, c, c) representing a crisp judgment."""
-        return cls(value, value, value)
-
-
 @dataclass(frozen=True)
 class LinguisticScale:
-    """Ordered linguistic terms with one TFN per term.
+    """Ordered linguistic terms with one TFN (l, m, u) per term.
 
-    Modal values must be strictly increasing so the scale preserves the
+    ``labels`` is a list or tuple of distinct strings; ``tfns`` is any
+    (levels, 3) table of numbers, checked once by ``check_tfn`` and kept
+    as a tuple of float triples, so scales compare by value.  Modal
+    values must be strictly increasing so the scale preserves the
     ordering of the judgments it encodes.
     """
 
     name: str
     labels: tuple[str, ...]
-    tfns: tuple[TriangularFuzzyNumber, ...]
+    tfns: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        if len(self.labels) != len(self.tfns):
+        labels = self.labels
+        if not (
+            isinstance(labels, (list, tuple))
+            and all(isinstance(label, str) for label in labels)
+            and len(set(labels)) == len(labels)
+        ):
             raise DataError(
-                f"scale '{self.name}': {len(self.labels)} labels but {len(self.tfns)} TFNs"
+                f"scale '{self.name}': labels must be a list of distinct strings, got {labels!r}"
             )
-        if len(self.labels) < 2:
+        tfns = check_tfn(self.tfns)
+        if tfns.ndim != 2 or len(tfns) != len(labels):
+            raise DataError(
+                f"scale '{self.name}': {len(labels)} labels need a ({len(labels)}, 3) "
+                f"table of TFNs, got shape {tfns.shape}"
+            )
+        if len(labels) < 2:
             raise DataError(f"scale '{self.name}' needs at least 2 levels")
-        modes = [t.m for t in self.tfns]
-        if any(b <= a for a, b in zip(modes, modes[1:])):
+        modes = tfns[:, 1]
+        if (modes[1:] <= modes[:-1]).any():
             raise DataError(
-                f"scale '{self.name}': modal values must be strictly increasing, got {modes}"
+                f"scale '{self.name}': modal values must be strictly increasing, "
+                f"got {modes.tolist()}"
             )
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "tfns", tuple(map(tuple, tfns.tolist())))
 
 
 # Conventional five-level influence scale for DEMATEL judgments; the
@@ -115,29 +101,28 @@ DEFAULT_DEMATEL_SCALE = LinguisticScale(
     name="dematel-influence-0-4",
     labels=("No influence", "Very low", "Low", "High", "Very high"),
     tfns=(
-        TriangularFuzzyNumber(0.00, 0.00, 0.25),
-        TriangularFuzzyNumber(0.00, 0.25, 0.50),
-        TriangularFuzzyNumber(0.25, 0.50, 0.75),
-        TriangularFuzzyNumber(0.50, 0.75, 1.00),
-        TriangularFuzzyNumber(0.75, 1.00, 1.00),
+        (0.00, 0.00, 0.25),
+        (0.00, 0.25, 0.50),
+        (0.25, 0.50, 0.75),
+        (0.50, 0.75, 1.00),
+        (0.75, 1.00, 1.00),
     ),
 )
 
 
-def tfn_from_linguistic(label: str, scale: LinguisticScale) -> TriangularFuzzyNumber:
-    """Look up the TFN mapped to a linguistic term.
+def tfn_from_linguistic(label: str, scale: LinguisticScale) -> tuple[float, float, float]:
+    """The (l, m, u) triple mapped to a linguistic term.
 
     Raises:
-        KeyError: if the label is not part of the scale.
+        DataError: if the label is not part of the scale.
     """
     try:
-        index = scale.labels.index(label)
+        return scale.tfns[scale.labels.index(label)]
     except ValueError:
-        raise KeyError(
+        raise DataError(
             f"unknown label {label!r} for scale '{scale.name}' "
             f"(expected one of {list(scale.labels)})"
         ) from None
-    return scale.tfns[index]
 
 
 def cfcs_defuzzify(judgments: ArrayLike) -> np.ndarray:

@@ -58,14 +58,6 @@ class IfDecisionMatrix:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class IdealSolutions:
-    """Per-criterion positive and negative ideal IF cells, (criteria, 3) each."""
-
-    positive: np.ndarray
-    negative: np.ndarray
-
-
 def lift_crisp_weights(weights: Sequence[float]) -> np.ndarray:
     """Lift crisp weights in [0, 1] to IF weights (w, 1-w, 0), shape
     (criteria, 3).
@@ -88,8 +80,9 @@ def weighted_if_matrix(raw: IfDecisionMatrix, weights: ArrayLike) -> IfDecisionM
     )
 
 
-def ideal_solutions(m: IfDecisionMatrix) -> IdealSolutions:
-    """Extract per-criterion ideal IF cells.
+def ideal_solutions(m: IfDecisionMatrix) -> np.ndarray:
+    """Per-criterion ideal IF cells: one (2, criteria, 3) array holding
+    the positive ideal, then the negative one.
 
     Benefit criteria: positive ideal takes (max mu, min nu) across the
     alternatives and the negative ideal (min mu, max nu); the roles swap
@@ -101,25 +94,23 @@ def ideal_solutions(m: IfDecisionMatrix) -> IdealSolutions:
     best = np.stack([best_mu, best_nu, 1.0 - best_mu - best_nu], axis=-1)
     worst = np.stack([worst_mu, worst_nu, 1.0 - worst_mu - worst_nu], axis=-1)
     benefit = np.array([kind is CriterionKind.BENEFIT for kind in m.criteria_kinds])
-    return IdealSolutions(
-        positive=np.where(benefit[:, None], best, worst),
-        negative=np.where(benefit[:, None], worst, best),
-    )
+    return np.where(benefit[:, None], [best, worst], [worst, best])
 
 
-def separation_measures(
-    m: IfDecisionMatrix, ideals: IdealSolutions
-) -> tuple[np.ndarray, np.ndarray]:
+def separation_measures(m: IfDecisionMatrix, ideals: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """Normalized Euclidean distances of every alternative to the
-    positive and negative ideals.
+    positive and negative ideals, the (2, criteria, 3) ``ideals``.
 
     Each cell's three squares are summed first, then the criteria in
     order, as the per-alternative loop of the definition does.
     """
-    positive, negative = (np.asarray(v, dtype=float) for v in (ideals.positive, ideals.negative))
-    if positive.shape != (m.n_criteria, 3) or negative.shape != positive.shape:
-        raise DataError("ideal solutions do not match the matrix criteria count")
-    squares = (m.rows - np.stack([positive, negative])[:, None]) ** 2
+    ideals = np.asarray(ideals, dtype=float)
+    if ideals.shape != (2, m.n_criteria, 3):
+        raise DataError(
+            f"ideal solutions of shape {ideals.shape} do not match "
+            f"(2, {m.n_criteria}, 3) for the matrix"
+        )
+    squares = (m.rows - ideals[:, None]) ** 2
     v_pos, v_neg = np.sqrt(squares.sum(axis=3).sum(axis=2) / (2.0 * m.n_criteria))
     return v_pos, v_neg
 

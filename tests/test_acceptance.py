@@ -459,10 +459,7 @@ def test_acceptance_12_scale_invariance():
         ]
         for matrix in label_matrices
     ]
-    scaled_matrices = [
-        [[cell.scaled(3.0) for cell in row] for row in matrix]
-        for matrix in tfn_matrices
-    ]
+    scaled_matrices = (3.0 * np.array(tfn_matrices)).tolist()
     config = PipelineConfig(runs=2, max_iterations=10, population_size=4, seed=12)
     base = run_pipeline(records, tfn_matrices, config)
     scaled = run_pipeline(records, scaled_matrices, config)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from riskfuse import cli
 from riskfuse.cli import cli_main
 from riskfuse.config import PipelineConfig
 from riskfuse.dataset import RATING_COLUMNS, bundled_path, load_dataset
@@ -106,6 +107,16 @@ class TestScaleRule:
         assert weights_line("tiny.json", "pipeline", "plain.json") == tiny
         assert weights_line("decoy.json", "weights", "scaled.json") == tiny
         assert weights_line("decoy.json", "weights", "plain.json") != tiny
+
+    @pytest.mark.parametrize(
+        "labels", ["ab", ["Low", "Low"], [1, 2]], ids=["string", "repeated", "numbers"]
+    )
+    def test_labels_must_be_distinct_strings(self, labels, tmp_path, capsys):
+        path = tmp_path / "matrices.json"
+        scale = {**_TINY_SCALE, "labels": labels}
+        path.write_text(json.dumps({"scale": scale, "respondents": [[[0, 1], [2, 0]]]}))
+        assert cli_main(["weights", "--matrices", str(path)]) == 2
+        assert "labels must be a list of distinct strings" in capsys.readouterr().err
 
 
 # Leaves of arbitrary respondents JSON: the scale's labels and unknown
@@ -423,6 +434,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "injected solve failure" in err
         assert "objective failed at iteration 0:" in err
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [(["bench-ecsa", "--runs", "1"], "optimize"), (["pipeline"], "run_pipeline")],
+    )
+    def test_memory_error_is_data_error(self, command, target, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        assert cli_main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: out of memory") and err.count("\n") == 1
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0

@@ -70,6 +70,20 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="not a UTF-8"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "suffix, text",
+        [("csv", "rely,kloc,effort\nh,10,100\nl,20,300\n"),
+         ("arff", "@attribute rely {l,n,h}\n@attribute kloc numeric\n"
+                  "@attribute effort numeric\n@data\nh,10,100\nl,20,300\n")],
+    )
+    def test_byte_order_mark_ignored(self, tmp_path, suffix, text):
+        plain, marked = tmp_path / f"plain.{suffix}", tmp_path / f"marked.{suffix}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        records = load_dataset(plain)
+        assert load_dataset(marked) == records
+        assert all("rely" in r.ratings and not r.extras for r in records)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope.csv")
@@ -214,7 +228,7 @@ class TestConfig:
             }
         )
         assert config.scale.name == "tiny"
-        assert "hi" in config.scale
+        assert "hi" in config.scale.labels
 
     def test_every_field_settable(self):
         payload = {
@@ -286,6 +300,11 @@ class TestConfig:
     def test_search_constants_checked_at_load(self, payload):
         with pytest.raises(DataError, match=next(iter(payload))):
             config_from_dict(payload)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"runs": 3}', encoding="utf-8-sig")
+        assert load_config(path).runs == 3
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DataError, match="seed"):

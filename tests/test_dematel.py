@@ -11,9 +11,7 @@ from riskfuse.dematel import (
     total_relation_matrix,
 )
 from riskfuse.errors import DataError, NumericalError
-from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, TriangularFuzzyNumber, tfn_from_linguistic
-
-TFN = TriangularFuzzyNumber
+from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, tfn_from_linguistic
 
 
 def scalar_cfcs(judgments):
@@ -34,7 +32,7 @@ def scalar_cfcs(judgments):
 
 
 def random_cell(rng):
-    """A label, an int, a float, a TFN or an [l, m, u] list."""
+    """A label, an int, a float, an (l, m, u) tuple or an [l, m, u] list."""
     kind = rng.integers(0, 5)
     if kind == 0:
         return str(rng.choice(DEFAULT_DEMATEL_SCALE.labels))
@@ -43,7 +41,7 @@ def random_cell(rng):
     if kind == 2:
         return float(rng.random() * 4)
     l, a, b = (float(v) for v in rng.random(3))
-    return TFN(l, l + a, l + a + b) if kind == 3 else [l, l + a, l + a + b]
+    return (l, l + a, l + a + b) if kind == 3 else [l, l + a, l + a + b]
 
 
 def make_drm(entries):
@@ -81,7 +79,7 @@ class TestDirectRelationMatrix:
 
 class TestAggregateResponses:
     def test_crisp_passthrough(self):
-        matrix = [[TFN.crisp(0.0), TFN.crisp(0.7)], [TFN.crisp(0.3), TFN.crisp(0.0)]]
+        matrix = [[(0.0, 0.0, 0.0), (0.7, 0.7, 0.7)], [(0.3, 0.3, 0.3), (0.0, 0.0, 0.0)]]
         result = aggregate_responses([matrix], DEFAULT_DEMATEL_SCALE)
         assert result.entries == pytest.approx(np.array([[0.0, 0.7], [0.3, 0.0]]))
 
@@ -94,8 +92,8 @@ class TestAggregateResponses:
 
     def test_two_respondent_cfcs_cell(self):
         # Hand CFCS over span [0, 1]: totals 0.04/1.2 and 1.16/1.2, mean 0.5.
-        low = [[TFN.crisp(0.0), TFN(0.0, 0.0, 0.25)], [TFN.crisp(0.2), TFN.crisp(0.0)]]
-        high = [[TFN.crisp(0.0), TFN(0.75, 1.0, 1.0)], [TFN.crisp(0.2), TFN.crisp(0.0)]]
+        low = [[(0.0, 0.0, 0.0), (0.0, 0.0, 0.25)], [(0.2, 0.2, 0.2), (0.0, 0.0, 0.0)]]
+        high = [[(0.0, 0.0, 0.0), (0.75, 1.0, 1.0)], [(0.2, 0.2, 0.2), (0.0, 0.0, 0.0)]]
         result = aggregate_responses([low, high], DEFAULT_DEMATEL_SCALE)
         assert 0.0 < result.entries[0, 1] < 1.0
         assert result.entries[0, 1] == pytest.approx(0.5, abs=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,21 +9,19 @@ from riskfuse.fuzzy import (
     DEFAULT_DEMATEL_SCALE,
     IntuitionisticFuzzyValue,
     LinguisticScale,
-    TriangularFuzzyNumber,
     cfcs_defuzzify,
     check_tfn,
     ifv_multiply,
     tfn_from_linguistic,
 )
 
-TFN = TriangularFuzzyNumber
 IFV = IntuitionisticFuzzyValue
 
 
 def valid_tfns():
     return st.tuples(
         st.floats(-5, 5), st.floats(0, 5), st.floats(0, 5)
-    ).map(lambda t: TFN(t[0], t[0] + t[1], t[0] + t[1] + t[2]))
+    ).map(lambda t: (t[0], t[0] + t[1], t[0] + t[1] + t[2]))
 
 
 def valid_ifvs():
@@ -33,17 +32,17 @@ def valid_ifvs():
 
 class TestTriangularFuzzyNumber:
     def test_ordering_enforced(self):
-        TFN(0.0, 0.5, 1.0)
+        assert check_tfn((0.0, 0.5, 1.0)).tolist() == [0.0, 0.5, 1.0]
         with pytest.raises(DataError):
-            TFN(0.5, 0.2, 1.0)
+            check_tfn((0.5, 0.2, 1.0))
         with pytest.raises(DataError):
-            TFN(0.0, 0.8, 0.5)
+            check_tfn((0.0, 0.8, 0.5))
 
     def test_components_must_be_finite(self):
         with pytest.raises(DataError):
-            TFN(0.0, 0.5, math.inf)
+            check_tfn((0.0, 0.5, math.inf))
         with pytest.raises(DataError):
-            TFN(math.nan, 0.5, 1.0)
+            check_tfn((math.nan, 0.5, 1.0))
 
     def test_check_tfn_names_first_bad_cell(self):
         cells = [[[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], [[0.0, 0.5, 1.0], [0.6, 0.5, 1.0]]]
@@ -52,43 +51,53 @@ class TestTriangularFuzzyNumber:
         with pytest.raises(DataError, match="last axis"):
             check_tfn([[0.0, 0.5]])
 
-    def test_scaled(self):
-        assert TFN(0.0, 0.5, 1.0).scaled(3.0) == TFN(0.0, 1.5, 3.0)
-        with pytest.raises(DataError):
-            TFN(0.0, 0.5, 1.0).scaled(0.0)
-
 
 class TestLinguisticScale:
     def test_default_scale_levels(self):
-        assert tfn_from_linguistic("No influence", DEFAULT_DEMATEL_SCALE) == TFN(0.0, 0.0, 0.25)
-        assert tfn_from_linguistic("Very high", DEFAULT_DEMATEL_SCALE) == TFN(0.75, 1.0, 1.0)
+        assert tfn_from_linguistic("No influence", DEFAULT_DEMATEL_SCALE) == (0.0, 0.0, 0.25)
+        assert tfn_from_linguistic("Very high", DEFAULT_DEMATEL_SCALE) == (0.75, 1.0, 1.0)
 
     def test_unknown_label_names_label_and_scale(self):
-        with pytest.raises(KeyError, match="Purple"):
+        with pytest.raises(DataError, match="Purple"):
             tfn_from_linguistic("Purple", DEFAULT_DEMATEL_SCALE)
-        with pytest.raises(KeyError, match=DEFAULT_DEMATEL_SCALE.name):
+        with pytest.raises(DataError, match=DEFAULT_DEMATEL_SCALE.name):
             tfn_from_linguistic("Purple", DEFAULT_DEMATEL_SCALE)
+
+    def test_table_kept_as_float_triples(self):
+        scale = LinguisticScale("tiny", ["lo", "hi"], [[0, 0, 0.5], [0.5, 1, 1]])
+        assert scale.labels == ("lo", "hi")
+        assert scale.tfns == ((0.0, 0.0, 0.5), (0.5, 1.0, 1.0))
+        assert all(type(v) is float for triple in scale.tfns for v in triple)
+        assert scale == LinguisticScale("tiny", ("lo", "hi"), np.array(scale.tfns))
+
+    @pytest.mark.parametrize(
+        "tfns",
+        [[[0, 0, 0.5], [0.6, 0.5, 1]], [[0, 0, 0.5], [0.5, 1]], [[0, 0, 0.5], "abc"], [0, 1]],
+    )
+    def test_whole_table_checked(self, tfns):
+        with pytest.raises(DataError):
+            LinguisticScale("bad", ("lo", "hi"), tfns)
 
     def test_modes_must_increase(self):
         with pytest.raises(DataError):
             LinguisticScale(
                 name="bad",
                 labels=("a", "b"),
-                tfns=(TFN(0, 0.5, 1), TFN(0, 0.5, 1)),
+                tfns=((0, 0.5, 1), (0, 0.5, 1)),
             )
 
     def test_label_tfn_length_mismatch(self):
         with pytest.raises(DataError):
-            LinguisticScale(name="bad", labels=("a",), tfns=(TFN(0, 0, 1), TFN(0, 1, 1)))
+            LinguisticScale(name="bad", labels=("a",), tfns=((0, 0, 1), (0, 1, 1)))
 
 
 class TestCfcsDefuzzify:
     def test_degenerate_tfn_is_already_crisp(self):
         for c in (0.0, 0.3, -2.0, 7.5):
-            assert cfcs_defuzzify([TFN.crisp(c)]) == c
+            assert cfcs_defuzzify([(c, c, c)]) == c
 
     def test_symmetric_single_tfn_gives_its_mode(self):
-        assert cfcs_defuzzify([TFN(0.0, 0.25, 0.5)]) == pytest.approx(0.25)
+        assert cfcs_defuzzify([(0.0, 0.25, 0.5)]) == pytest.approx(0.25)
 
     def test_two_judgment_hand_trace(self):
         # Hand execution of the five CFCS steps over span [0, 1]:
@@ -96,7 +105,7 @@ class TestCfcsDefuzzify:
         # second TFN: xls = 0.6, xrs = 0.8, total = 0.88 / 1.2
         first = 0.32 / 1.2
         second = 0.88 / 1.2
-        result = cfcs_defuzzify([TFN(0.0, 0.25, 0.5), TFN(0.5, 0.75, 1.0)])
+        result = cfcs_defuzzify([(0.0, 0.25, 0.5), (0.5, 0.75, 1.0)])
         assert result == pytest.approx((first + second) / 2, abs=1e-12)
         assert 0.25 < result < 0.75
 
@@ -107,8 +116,8 @@ class TestCfcsDefuzzify:
     @given(st.lists(valid_tfns(), min_size=1, max_size=6))
     def test_result_within_support(self, judgments):
         crisp = cfcs_defuzzify(judgments)
-        lo = min(t.l for t in judgments)
-        hi = max(t.u for t in judgments)
+        lo = min(l for l, _, _ in judgments)
+        hi = max(u for _, _, u in judgments)
         assert lo - 1e-9 <= crisp <= hi + 1e-9
 
     @given(valid_tfns(), st.integers(min_value=1, max_value=5))

@@ -19,7 +19,7 @@ from riskfuse.config import PipelineConfig, config_from_dict
 from riskfuse.dataset import FeatureMapping, bundled_path
 from riskfuse.ecsa import EcsaConfig, optimize
 from riskfuse.errors import DataError, PipelineError
-from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE, TriangularFuzzyNumber
+from riskfuse.fuzzy import DEFAULT_DEMATEL_SCALE
 from riskfuse.pipeline import (
     RiskReport,
     aggregate_risk,
@@ -32,8 +32,6 @@ from riskfuse.pipeline import (
 )
 from riskfuse.reporting import report_to_json
 from riskfuse.topsis import CriterionKind, IfDecisionMatrix, rank_weighted
-
-TFN = TriangularFuzzyNumber
 
 
 def linear_samples(rng, n=50, dim=2):
@@ -61,9 +59,9 @@ class TestDeriveWeights:
         assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_near_symmetric_judgments_near_uniform(self):
-        cell = TFN(0.25, 0.5, 0.75)
+        cell = (0.25, 0.5, 0.75)
         matrix = [[0.0 if i == j else cell for j in range(3)] for i in range(3)]
-        matrix[0][1] = TFN(0.2500001, 0.5000001, 0.7500001)
+        matrix[0][1] = (0.2500001, 0.5000001, 0.7500001)
         s = dematel.aggregate_responses([matrix], DEFAULT_DEMATEL_SCALE)
         weights = dematel.evaluate(s).weights
         assert weights == pytest.approx(np.full(3, 1 / 3), abs=1e-5)

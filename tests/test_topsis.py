@@ -169,39 +169,38 @@ class TestIdealSolutions:
     def test_single_alternative_degenerate(self):
         m = matrix_of([[(0.6, 0.3, 0.1), (0.2, 0.7, 0.1)]], [B, C])
         ideals = ideal_solutions(m)
-        for ideal in (ideals.positive, ideals.negative):
+        assert ideals.shape == (2, 2, 3)
+        for ideal in ideals:
             assert ideal == pytest.approx(m.rows[0])
 
     def test_benefit_column(self):
         m = matrix_of([[(0.2, 0.7, 0.1)], [(0.8, 0.1, 0.1)]], [B])
-        ideals = ideal_solutions(m)
-        assert ideals.positive[0, :2].tolist() == [0.8, 0.1]
-        assert ideals.negative[0, :2].tolist() == [0.2, 0.7]
+        positive, negative = ideal_solutions(m)
+        assert positive[0, :2].tolist() == [0.8, 0.1]
+        assert negative[0, :2].tolist() == [0.2, 0.7]
 
     def test_cost_column_swaps(self):
         m = matrix_of([[(0.2, 0.7, 0.1)], [(0.8, 0.1, 0.1)]], [C])
-        ideals = ideal_solutions(m)
-        assert ideals.positive[0, :2].tolist() == [0.2, 0.7]
-        assert ideals.negative[0, :2].tolist() == [0.8, 0.1]
+        positive, negative = ideal_solutions(m)
+        assert positive[0, :2].tolist() == [0.2, 0.7]
+        assert negative[0, :2].tolist() == [0.8, 0.1]
 
 
 class TestSeparation:
     def test_row_matching_ideal_has_zero_distance(self, rng):
         m = random_matrix(rng, 3, 2)
         ideals = ideal_solutions(m)
-        rows = list(m.rows) + [ideals.positive]
+        rows = list(m.rows) + [ideals[0]]
         extended = IfDecisionMatrix(rows=tuple(rows), criteria_kinds=m.criteria_kinds)
         # re-derive over the extended matrix so the appended row is an ideal
         new_ideals = ideal_solutions(extended)
         v_pos, _ = separation_measures(extended, new_ideals)
-        if np.array_equal(extended.rows[-1], new_ideals.positive):
+        if np.array_equal(extended.rows[-1], new_ideals[0]):
             assert v_pos[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_criterion_hand_value(self):
         m = matrix_of([[(0.5, 0.5, 0.0)]], [B])
-        ideals_override = type(ideal_solutions(m))(
-            positive=(IFV(1.0, 0.0, 0.0),), negative=(IFV(0.5, 0.5, 0.0),)
-        )
+        ideals_override = ((IFV(1.0, 0.0, 0.0),), (IFV(0.5, 0.5, 0.0),))
         v_pos, v_neg = separation_measures(m, ideals_override)
         assert v_pos[0] == pytest.approx(0.5)
         assert v_neg[0] == pytest.approx(0.0)
@@ -209,10 +208,7 @@ class TestSeparation:
     def test_ideal_shapes_checked(self):
         m = matrix_of([[(0.5, 0.5, 0.0), (0.2, 0.7, 0.1)]], [B, B])
         ideals = ideal_solutions(m)
-        for broken in (
-            type(ideals)(positive=ideals.positive[:1], negative=ideals.negative),
-            type(ideals)(positive=ideals.positive, negative=ideals.negative[:1]),
-        ):
+        for broken in (ideals[:1], ideals[:, :1], ideals[..., :2]):
             with pytest.raises(DataError):
                 separation_measures(m, broken)
 
