@@ -30,6 +30,8 @@ MIN_SHAPE_PARAM = 1e-6
 # smaller side of the design (see ``_ridge_fit``).
 RIDGE = 1e-2
 
+Levels = tuple[np.ndarray, np.ndarray, np.ndarray]  # see ``_input_levels``
+
 
 def bell_membership(u, m, l, k):
     """Membership degree 1 / (1 + |(u - m) / l|^(2k)), in [0, 1].
@@ -38,8 +40,22 @@ def bell_membership(u, m, l, k):
     |z|^(2k) to inf, which cleanly underflows the membership to zero;
     that is the intended limit behavior.
     """
+    return _bell(u, np.array(np.broadcast_arrays(u, m, l, k)[1:], dtype=float))[()]
+
+
+def _bell(u, block: np.ndarray) -> np.ndarray:
+    """``bell_membership`` of u under the (m, l, k) on the first axis of
+    a float block, computed in place: overwrites the block and returns
+    its m slot.  The formula's operations in its order, so its bits."""
+    z, l, k = block[0, ...], block[1, ...], block[2, ...]  # views, also when 0-d
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.abs((u - m) / l) ** (2.0 * k))
+        np.subtract(u, z, out=z)
+        z /= l
+        np.abs(z, out=z)
+        k *= 2.0
+        z **= k
+        z += 1.0
+        return np.divide(1.0, z, out=z)
 
 
 @dataclass(frozen=True)
@@ -93,13 +109,17 @@ class AnfisModel:
         return self.premises.size
 
 
-def _input_levels(x: np.ndarray, n_inputs: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each column of the rows x as its sorted distinct values plus each
-    row's index into them.  Ordinal inputs take few distinct values, so
-    memberships computed per level and gathered back to the rows cost a
-    fraction of one per row, with the same bits."""
+def _input_levels(x: np.ndarray, n_inputs: int) -> Levels:
+    """``(values, counts, where)`` of the rows x: each column's sorted
+    distinct values, concatenated column by column; the number per
+    column; and the (inputs, rows) index of each row's value in
+    ``values``.  Memberships computed per level and gathered back to the
+    rows cost a fraction of one per row, with the same bits, as ordinal
+    inputs take few values.  ``DataError`` unless every value is finite."""
     if x.ndim != 2 or x.shape[1] != n_inputs:
         raise DataError(f"expected rows of {n_inputs} inputs, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError("model inputs must be finite numbers")
     columns = x.T
     order = np.argsort(columns, axis=1, kind="stable")
     rows = np.arange(len(columns))[:, None]
@@ -107,35 +127,33 @@ def _input_levels(x: np.ndarray, n_inputs: int) -> list[tuple[np.ndarray, np.nda
     first = np.ones(ranked.shape, dtype=bool)  # first of its value in sorted order
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
     where = np.empty(ranked.shape, dtype=np.intp)
-    where[rows, order] = np.cumsum(first, axis=1) - 1
-    return [(values[new], index) for values, new, index in zip(ranked, first, where)]
+    where[rows, order] = np.cumsum(first).reshape(ranked.shape) - 1
+    return ranked[first], np.count_nonzero(first, axis=1), where
 
 
-def _membership_matrix(
-    premises: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
+def _membership_matrix(premises: np.ndarray, levels: Levels) -> np.ndarray:
     """Firing strengths of the (..., rules, inputs, 3) premises for the
     rows whose ``_input_levels`` are given: shape (..., n_rules,
-    n_samples), over any leading candidate axes.  Samples run innermost,
-    and the inputs are multiplied in one at a time, so no tensor with an
-    axis per input is built."""
-    params = np.moveaxis(premises, -1, 0)[..., None]  # (3, ..., R, D, 1)
-    w = 1.0
-    for d, (values, where) in enumerate(levels):
-        w = w * bell_membership(values, *params[..., d, :])[..., where]
+    n_samples), over any leading candidate axes.  One in-place bell pass
+    covers every input's levels; their memberships are gathered back to
+    the rows and multiplied in one input at a time, in input order."""
+    values, counts, where = levels
+    block = np.repeat(np.moveaxis(premises, -1, 0), counts, axis=-1)  # (3, ..., R, levels)
+    bell = _bell(values, block)
+    w = bell[..., where[0]]
+    for index in where[1:]:
+        w *= bell[..., index]
     return w
 
 
-def _strengths(
-    premises: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
+def _strengths(premises: np.ndarray, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
     """Firing strengths of ``_membership_matrix`` normalized over the rule
     axis, shape (..., n_rules, n_samples), plus the (..., n_samples) mask
     of samples where every activation underflowed; those stay at zero."""
     w = _membership_matrix(premises, levels)
     totals = w.sum(axis=-2, keepdims=True)
     dead = totals <= 0.0
-    return w / np.where(dead, 1.0, totals), dead[..., 0, :]
+    return np.divide(w, np.where(dead, 1.0, totals), out=w), dead[..., 0, :]
 
 
 def _require_alive(dead: np.ndarray) -> None:
@@ -316,7 +334,7 @@ def fit_consequents_least_squares(
 
 
 def _ridge_fit(
-    premises: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, y: np.ndarray
+    premises: np.ndarray, levels: Levels, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ridge consequents at fixed premises for the rows x with the given
     ``_input_levels``, over any leading candidate axes.
@@ -333,7 +351,8 @@ def _ridge_fit(
     n, rules = len(y), premises.shape[-3]
     wbar, dead = _strengths(premises, levels)
     if rules * augmented.shape[1] >= n:
-        kernel = (np.swapaxes(wbar, -1, -2) @ wbar) * (augmented @ augmented.T)
+        kernel = np.swapaxes(wbar, -1, -2) @ wbar
+        kernel *= augmented @ augmented.T
         kernel += RIDGE * n * np.eye(n)
         alpha = np.linalg.solve(kernel, y)
         consequents = (wbar * alpha[..., None, :]) @ augmented
@@ -415,9 +434,9 @@ def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> tuple[n
     plus the number clamped."""
     premises = premises0 * coefficients.reshape(coefficients.shape[:-1] + premises0.shape)
     shape_params = premises[..., 1:]  # a view: the clamp writes into premises
-    low = shape_params < MIN_SHAPE_PARAM
-    shape_params[low] = MIN_SHAPE_PARAM
-    return premises, int(low.sum())
+    clamped = np.count_nonzero(shape_params < MIN_SHAPE_PARAM)
+    np.maximum(shape_params, MIN_SHAPE_PARAM, out=shape_params)
+    return premises, clamped
 
 
 def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> AnfisModel:

@@ -24,6 +24,7 @@ from riskfuse.anfis import (
     subtractive_clustering,
 )
 from riskfuse.errors import DataError, NumericalError
+from riskfuse.pipeline import potential_scores
 
 
 def make_model(premise_specs, consequents, spans=None):
@@ -147,6 +148,20 @@ class TestForward:
         singles = [forward(model, x) for x in xs]
         assert batch == pytest.approx(singles)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry",
+        [forward_batch, lambda model, xs: potential_scores(model, list(xs)),
+         lambda model, xs: forward(model, xs[1])],
+        ids=["forward_batch", "potential_scores", "forward"],
+    )
+    def test_non_finite_rows_rejected(self, rng, entry, bad):
+        model = random_model(rng, dim=2, n_rules=3)
+        xs = rng.uniform(-1, 2, size=(4, 2))
+        xs[1, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            entry(model, xs)
+
 
 
 def per_row_strengths(premises, xs):
@@ -171,9 +186,12 @@ class TestTiedInputs:
 
     def check(self, premises, xs):
         levels = _input_levels(xs, premises.shape[-2])
-        for (values, where), column in zip(levels, xs.T):
-            assert np.all(np.diff(values) > 0.0)
-            assert values[where].tobytes() == column.tobytes()
+        values, counts, where = levels
+        assert counts.sum() == len(values) and where.shape == xs.T.shape
+        for column_levels in np.split(values, np.cumsum(counts)[:-1]):
+            assert np.all(np.diff(column_levels) > 0.0)
+        for index, column in zip(where, xs.T):
+            assert values[index].tobytes() == column.tobytes()
         got = _membership_matrix(premises, levels)
         assert got.tobytes() == per_row_strengths(premises, xs).tobytes()
 
@@ -187,7 +205,7 @@ class TestTiedInputs:
         premises = model.premises.copy()
         premises[0, 0, 0] = 0.0  # one bell centred on zero
         xs = np.array([[0.0], [-0.0], [1.0], [-0.0]])
-        assert len(_input_levels(xs, 1)[0][0]) == 2
+        assert _input_levels(xs, 1)[1].tolist() == [2]
         got = _membership_matrix(premises, _input_levels(xs, 1))
         assert got.tobytes() == per_row_strengths(premises, xs).tobytes()
 
@@ -200,7 +218,7 @@ class TestTiedInputs:
         model = random_model(rng, dim=3, n_rules=3)
         xs = rng.choice(self.ORDINAL, size=(12, 3))
         xs[:, 1] = 0.5
-        assert len(_input_levels(xs, 3)[1][0]) == 1
+        assert _input_levels(xs, 3)[1][1] == 1
         self.check(model.premises, xs)
 
     def test_one_row(self, rng):
@@ -220,6 +238,30 @@ class TestTiedInputs:
         xs = np.array([[0.0], [4.0], [4.0], [0.0]])
         self.check(premises, xs)
         assert np.count_nonzero(_membership_matrix(premises, _input_levels(xs, 1))[0] == 0.0) == 2
+
+
+class TestInputsKept:
+    """The kernel computes in place only in arrays it allocates itself."""
+
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    def test_kernel_leaves_its_inputs(self, rng, lead):
+        model = random_model(rng, dim=3, n_rules=4)
+        xs = rng.choice(TestTiedInputs.ORDINAL, size=(9, 3))
+        premises = model.premises * rng.uniform(0.5, 1.5, size=lead + model.premises.shape)
+        coefficients = rng.uniform(0.5, 1.5, size=(5, model.n_parameters))
+        levels = _input_levels(xs, 3)
+        kept = (premises, model.premises, model.consequents, coefficients, xs) + levels
+        before = [a.tobytes() for a in kept]
+        _membership_matrix(premises, levels)
+        anfis._strengths(premises, levels)
+        bell_membership(xs, *model.premises[0].T)
+        forward_batch(model, xs)
+        objective = scaling_objective(model, list(zip(xs, xs.sum(axis=1))))
+        first = objective(coefficients)
+        assert [a.tobytes() for a in kept] == before
+        # The objective's own rows and levels survive the call too.
+        assert objective(coefficients).tobytes() == first.tobytes()
+
 
 class TestSubtractiveClustering:
     def test_single_point(self):
