@@ -24,8 +24,8 @@ from .dataset import (
     ProjectRecord,
     bundled_path,
     default_catalog,
+    feature_table,
     load_dataset,
-    map_ratings_to_features,
 )
 from .dematel import (
     DematelResult,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DEFAULT_ORDINAL_VALUES
+from .dataset import DEFAULT_ORDINAL_VALUES, ORDINAL_LEVELS
 from .ecsa import EcsaConfig, check_count
 from .errors import DataError, read_json
 from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale
@@ -62,6 +62,9 @@ class PipelineConfig:
         levels = self.ordinal_values
         if not (isinstance(levels, dict) and all(map(_is_real, levels.values()))):
             raise DataError(f"ordinal_values must map levels to finite numbers, got {levels!r}")
+        unknown = [key for key in levels if key not in ORDINAL_LEVELS]
+        if unknown:
+            raise DataError(f"unknown ordinal_values keys: {unknown}; levels: {ORDINAL_LEVELS}")
         self.ecsa_config(1)  # the crow-search constants' one check
         if not (0.0 < self.split_fraction < 1.0):
             raise DataError(

@@ -184,24 +184,47 @@ def _parse_number(token: str, column: str, line: int) -> float | None:
     return value
 
 
-def _build_record(columns: list[str], values: list[str], line: int, index: int) -> ProjectRecord:
-    if len(values) != len(columns):
+# Header name -> the record field it gives: a rating column, "size",
+# "effort", or "id"; any other column is an extra.
+_FIELDS = {
+    **{column: column for column in RATING_COLUMNS},
+    **dict.fromkeys(_SIZE_COLUMNS, "size"),
+    **dict.fromkeys(_EFFORT_COLUMNS, "effort"),
+    **dict.fromkeys(_ID_COLUMNS, "id"),
+}
+
+
+def _header_field(column: str, seen: dict[str, str], line: int) -> tuple[str | None, str]:
+    """A header column's (field, name).  ``seen`` maps each rating, size
+    and effort field to the column that gave it: none takes two columns."""
+    name = column.strip().lower()
+    field = _FIELDS.get(name)
+    if field not in (None, "id"):
+        if field in seen:
+            raise DataError(f"line {line}: columns {seen[field]!r} and {name!r} both give {field}")
+        seen[field] = name
+    return field, name
+
+
+def _build_record(
+    header: list[tuple[str | None, str]], values: list[str], line: int, index: int
+) -> ProjectRecord:
+    if len(values) != len(header):
         raise DataError(
-            f"line {line}: row has {len(values)} fields, header has {len(columns)}"
+            f"line {line}: row has {len(values)} fields, header has {len(header)}"
         )
     ratings: dict[str, str | None] = {}
     extras: dict[str, str] = {}
     identifier = str(index + 1)
     size = effort = None
-    for column, token in zip(columns, values):
-        name = column.strip().lower()
-        if name in RATING_COLUMNS:
+    for (field, name), token in zip(header, values):
+        if field in RATING_COLUMNS:
             ratings[name] = _parse_rating(token, name, line)
-        elif name in _SIZE_COLUMNS:
+        elif field == "size":
             size = _parse_number(token, name, line)
-        elif name in _EFFORT_COLUMNS:
+        elif field == "effort":
             effort = _parse_number(token, name, line)
-        elif name in _ID_COLUMNS and identifier == str(index + 1):
+        elif field == "id" and identifier == str(index + 1):
             identifier = token.strip() or identifier
         else:
             extras[name] = token.strip()
@@ -216,15 +239,15 @@ def _load_csv(path: Path) -> list[ProjectRecord]:
         rows = [(line, row) for line, row in enumerate(reader, start=1) if row]
     if not rows:
         raise DataError(f"{path}: no header row found")
-    header = [cell.strip() for cell in rows[0][1]]
-    records = [
-        _build_record(header, row, line, i) for i, (line, row) in enumerate(rows[1:])
-    ]
-    return records
+    header_line, columns = rows[0]
+    seen: dict[str, str] = {}
+    header = [_header_field(column, seen, header_line) for column in columns]
+    return [_build_record(header, row, line, i) for i, (line, row) in enumerate(rows[1:])]
 
 
 def _load_arff(path: Path) -> list[ProjectRecord]:
-    columns: list[str] = []
+    header: list[tuple[str | None, str]] = []
+    seen: dict[str, str] = {}
     records: list[ProjectRecord] = []
     in_data = False
     index = 0
@@ -238,16 +261,16 @@ def _load_arff(path: Path) -> list[ProjectRecord]:
                 parts = line.split(None, 2)
                 if len(parts) < 2:
                     raise DataError(f"line {line_no}: malformed @attribute declaration")
-                columns.append(parts[1].strip("'\""))
+                header.append(_header_field(parts[1].strip("'\""), seen, line_no))
             elif lowered.startswith("@data"):
                 in_data = True
-                if not columns:
+                if not header:
                     raise DataError(f"{path}: @data before any @attribute")
             elif lowered.startswith("@"):
                 continue
             elif in_data:
                 values = next(csv.reader([line]))
-                records.append(_build_record(columns, values, line_no, index))
+                records.append(_build_record(header, values, line_no, index))
                 index += 1
     if not in_data:
         raise DataError(f"{path}: no @data section found")
@@ -287,15 +310,17 @@ def load_dataset(path: str | Path, format: str | None = None) -> list[ProjectRec
 
 @dataclass(frozen=True)
 class FeatureMapping:
-    """Ordinal and numeric value mapping fitted over a loaded dataset.
+    """Value mapping fitted over a loaded dataset.
 
-    Ordinal ratings use the configured level values; numeric attributes
-    are min-max normalized over the observed range.  Missing entries
-    fall back to ``missing_value``.
+    Ordinal ratings read the configured level values, size is min-max
+    scaled over ``size_range`` and effort divided by ``max_effort``; each
+    is None when no fitted record carried the field.  Missing entries
+    read ``missing_value``.
     """
 
     ordinal_values: dict[str, float]
-    numeric_ranges: dict[str, tuple[float, float]]
+    size_range: tuple[float, float] | None
+    max_effort: float | None
     missing_value: float = DEFAULT_ORDINAL_VALUES["nominal"]
 
     @classmethod
@@ -308,74 +333,52 @@ class FeatureMapping:
         values = dict(DEFAULT_ORDINAL_VALUES if ordinal_values is None else ordinal_values)
         sizes = [r.size for r in records if r.size is not None]
         efforts = [r.effort for r in records if r.effort is not None]
-        ranges: dict[str, tuple[float, float]] = {}
-        if sizes:
-            ranges["size"] = (min(sizes), max(sizes))
-        if efforts:
-            ranges["effort"] = (min(efforts), max(efforts))
-        return cls(ordinal_values=values, numeric_ranges=ranges, missing_value=missing_value)
-
-    def normalize_numeric(self, name: str, value: float | None) -> float:
-        if value is None:
-            return self.missing_value
-        lo, hi = self.numeric_ranges.get(name, (None, None))
-        if lo is None:
-            raise DataError(f"no fitted range for numeric attribute '{name}'")
-        if hi <= lo:
-            return self.missing_value
-        return float(np.clip((value - lo) / (hi - lo), 0.0, 1.0))
-
-    def rating_value(self, level: str | None) -> float:
-        if level is None:
-            return self.missing_value
-        try:
-            return self.ordinal_values[level]
-        except KeyError:
-            raise DataError(f"no mapped value for ordinal level {level!r}") from None
+        return cls(
+            ordinal_values=values,
+            size_range=(min(sizes), max(sizes)) if sizes else None,
+            max_effort=max(efforts) if efforts else None,
+            missing_value=missing_value,
+        )
 
 
-def map_ratings_to_features(
-    record: ProjectRecord,
-    catalog: CriteriaCatalog,
-    mapping: FeatureMapping,
-    codes: tuple[str, ...] | None = None,
-) -> np.ndarray:
-    """Normalized [0, 1] feature value per requested catalog code.
+def feature_table(
+    records: list[ProjectRecord], catalog: CriteriaCatalog, mapping: FeatureMapping
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (records, resolvable codes) feature table and the effort targets
+    of the records that carry an effort, built and checked one column at
+    a time.
 
-    Args:
-        codes: catalog codes to resolve, defaulting to every code the
-            catalog can resolve against the dataset columns.
-
-    Raises:
-        DataError: for a code the catalog cannot map onto the dataset.
+    Ratings read the mapping's level values and size its min-max scale,
+    clipped to [0, 1]; a missing entry, or any size when the fitted range
+    is one value, reads ``missing_value``.  The target is effort over the
+    largest fitted effort, so it is never zero and percentage errors stay
+    defined.  Raises DataError when no record carries an effort, and for
+    an unmapped rating level or sizes without a fitted range.
     """
-    if codes is None:
-        codes = catalog.resolvable_codes()
-    features = np.empty(len(codes))
-    for i, code in enumerate(codes):
-        column = catalog.columns.get(code)
-        if column is None:
-            raise DataError(f"criterion code {code!r} is not resolvable in this dataset")
+    records = [r for r in records if r.effort is not None]
+    if not records:
+        raise DataError("no records carry an effort value to learn from")
+    codes = catalog.resolvable_codes()
+    levels = {None: mapping.missing_value, **mapping.ordinal_values}
+    table = np.full((len(records), len(codes)), float(mapping.missing_value))
+    for j, code in enumerate(codes):
         if code == "SIZE":
-            features[i] = mapping.normalize_numeric("size", record.size)
-        else:
-            features[i] = mapping.rating_value(record.ratings.get(column))
-    return features
-
-
-def normalized_effort(record: ProjectRecord, mapping: FeatureMapping) -> float:
-    """Actual effort scaled by the dataset maximum.
-
-    Targets land in (0, 1], never exactly zero, which keeps percentage
-    error metrics well defined.  This is the default risk-magnitude
-    target.
-    """
-    if record.effort is None:
-        raise DataError(f"record {record.identifier} has no recorded effort")
-    ranges = mapping.numeric_ranges.get("effort")
-    if ranges is None or ranges[1] <= 0:
+            sizes = np.array([np.nan if r.size is None else r.size for r in records])
+            known = ~np.isnan(sizes)
+            if mapping.size_range is None and known.any():
+                raise DataError("no fitted range for numeric attribute 'size'")
+            lo, hi = mapping.size_range or (0.0, 0.0)
+            if hi > lo:
+                table[known, j] = np.clip((sizes[known] - lo) / (hi - lo), 0.0, 1.0)
+            continue
+        column = catalog.columns[code]
+        try:
+            table[:, j] = [levels[r.ratings.get(column)] for r in records]
+        except KeyError as exc:
+            raise DataError(f"no mapped value for ordinal level {exc.args[0]!r}") from None
+    if mapping.max_effort is None or mapping.max_effort <= 0:
         raise DataError("no positive effort range fitted over the dataset")
-    return float(record.effort / ranges[1])
+    return table, np.array([r.effort for r in records]) / mapping.max_effort
 
 
 def bundled_path(name: str) -> Path:

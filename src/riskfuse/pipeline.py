@@ -22,8 +22,7 @@ from .dataset import (
     FeatureMapping,
     ProjectRecord,
     default_catalog,
-    map_ratings_to_features,
-    normalized_effort,
+    feature_table,
 )
 from .ecsa import optimize
 from .errors import DataError, PipelineError, RiskfuseError
@@ -266,11 +265,8 @@ def prepare_samples(
     group with none (reuse risk on COCOMO-81 data) reads the mapping's
     missing value, a constant column.
     """
-    usable = [r for r in records if r.effort is not None]
-    if not usable:
-        raise DataError("no records carry an effort value to learn from")
+    features, targets = feature_table(records, catalog, mapping)
     codes = catalog.resolvable_codes()
-    features = np.array([map_ratings_to_features(r, catalog, mapping, codes) for r in usable])
     owned = np.array(
         [[code in catalog.groups[group] for code in codes] for group in catalog.groups],
         dtype=bool,
@@ -278,15 +274,11 @@ def prepare_samples(
     if mode == "groups":
         features = np.column_stack([
             features[:, columns].mean(axis=1) if columns.any()
-            else np.full(len(usable), mapping.missing_value)
+            else np.full(len(features), mapping.missing_value)
             for columns in owned
         ])
         owned = np.eye(len(owned), dtype=bool)
-    samples = [
-        (features[i], normalized_effort(record, mapping))
-        for i, record in enumerate(usable)
-    ]
-    return samples, features, owned
+    return list(zip(features, targets.tolist())), features, owned
 
 
 def run_pipeline(

@@ -413,6 +413,15 @@ class TestExitCodes:
         assert cli_main(["--config", str(path), "pipeline"]) == 2
         assert f"{key} must be in [" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["pipeline"], ["tune", "--data", str(bundled_path("nasa93.arff"))]]
+    )
+    def test_unmapped_ordinal_level_is_data_error(self, command, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"ordinal_values": {"nominal": 0.4}}))
+        assert cli_main(["--config", str(path)] + command) == 2
+        assert "no mapped value for ordinal level 'low'" in capsys.readouterr().err
+
     def test_wrong_config_type_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"runs": "3"}))

@@ -1,5 +1,9 @@
+import filecmp
+import hashlib
+import importlib.util
 import logging
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,11 @@ import pytest
 from riskfuse.config import PipelineConfig, config_from_dict, load_config
 from riskfuse.dataset import (
     CriteriaCatalog,
+    FeatureMapping,
     ProjectRecord,
     bundled_path,
+    feature_table,
     load_dataset,
-    map_ratings_to_features,
-    normalized_effort,
 )
 from riskfuse.errors import DataError
 from riskfuse.pipeline import prepare_samples
@@ -84,6 +88,18 @@ class TestLoadDataset:
         assert load_dataset(marked) == records
         assert all("rely" in r.ratings and not r.extras for r in records)
 
+    @pytest.mark.parametrize(
+        "suffix, text, columns",
+        [("csv", "rely,rely,kloc,effort\nvh,vl,10,100\n", "'rely' and 'rely'"),
+         ("arff", "@attribute kloc real\n@attribute rely {l,h}\n@attribute size real\n"
+                  "@attribute effort real\n@data\n10,h,12,100\n", "'kloc' and 'size'")],
+    )
+    def test_duplicate_field_columns_rejected(self, tmp_path, suffix, text, columns):
+        path = tmp_path / f"dup.{suffix}"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"columns {columns} both give"):
+            load_dataset(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope.csv")
@@ -96,6 +112,19 @@ class TestLoadDataset:
         path.write_text("<x/>")
         with pytest.raises(DataError):
             load_dataset(path, format="xml")
+
+
+def test_fixture_generator_reproduces_bundled_files(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_fixtures.py"
+    spec = importlib.util.spec_from_file_location("generate_fixtures", script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "OUT_DIR", tmp_path)
+    generator.main()
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == sorted(path.name for path in bundled_path("nasa93.csv").parent.iterdir())
+    for name in names:
+        assert filecmp.cmp(tmp_path / name, bundled_path(name), shallow=False), name
 
 
 class TestProjectRecord:
@@ -134,34 +163,57 @@ class TestCriteriaCatalog:
         assert "DOCU" not in resolvable and "RUSE" not in resolvable
 
 
+def reference_row(record, catalog, mapping, codes):
+    """One record's features, code by code in Python scalars: the
+    reference the column-wise table must match bit for bit."""
+    row = []
+    for code in codes:
+        if code == "SIZE":
+            lo, hi = mapping.size_range
+            value = record.size
+            row.append(mapping.missing_value if value is None or hi <= lo
+                       else float(np.clip((value - lo) / (hi - lo), 0.0, 1.0)))
+        else:
+            level = record.ratings.get(catalog.columns[code])
+            row.append(mapping.missing_value if level is None else mapping.ordinal_values[level])
+    return row
+
+
 class TestFeatureMapping:
     def test_ordinal_spacing(self, catalog, mapping):
         record = ProjectRecord(
             identifier="r",
             ratings={"rely": "nominal", "sced": "very_low", "cplx": "extra_high"},
+            effort=1.0,
         )
-        values = map_ratings_to_features(record, catalog, mapping, ("RELY", "SCED", "CPLX"))
+        table, _ = feature_table([record], catalog, mapping)
+        codes = catalog.resolvable_codes()
+        values = table[0, [codes.index(c) for c in ("RELY", "SCED", "CPLX")]]
         assert values == pytest.approx([0.4, 0.0, 1.0])
 
     def test_numeric_minmax_endpoints(self, nasa_records, catalog, mapping):
-        largest = max(nasa_records, key=lambda r: r.size)
-        values = map_ratings_to_features(largest, catalog, mapping, ("SIZE",))
-        assert values[0] == pytest.approx(1.0)
-
-    def test_unresolvable_code_rejected(self, catalog, mapping):
-        record = ProjectRecord(identifier="r", ratings={})
-        with pytest.raises(DataError, match="DOCU"):
-            map_ratings_to_features(record, catalog, mapping, ("DOCU",))
+        table, _ = feature_table(nasa_records, catalog, mapping)
+        sizes = table[:, catalog.resolvable_codes().index("SIZE")]
+        largest = max(range(len(nasa_records)), key=lambda i: nasa_records[i].size)
+        assert sizes[largest] == pytest.approx(1.0)
+        assert sizes.min() == 0.0
 
     def test_missing_rating_falls_back(self, catalog, mapping):
-        record = ProjectRecord(identifier="r", ratings={})
-        values = map_ratings_to_features(record, catalog, mapping, ("RELY",))
-        assert values[0] == pytest.approx(mapping.missing_value)
+        record = ProjectRecord(identifier="r", ratings={}, effort=1.0)
+        table, _ = feature_table([record], catalog, mapping)
+        assert np.all(table == mapping.missing_value)
 
     def test_all_features_within_unit_interval(self, nasa_records, catalog, mapping):
-        for record in nasa_records:
-            values = map_ratings_to_features(record, catalog, mapping)
-            assert np.all(values >= 0.0) and np.all(values <= 1.0)
+        table, _ = feature_table(nasa_records, catalog, mapping)
+        assert table.shape == (93, len(catalog.resolvable_codes()))
+        assert np.all(table >= 0.0) and np.all(table <= 1.0)
+
+    def test_records_without_effort_dropped(self, catalog, mapping):
+        bare = ProjectRecord(identifier="bare", ratings={})
+        table, targets = feature_table([bare, replace(bare, effort=1.0)], catalog, mapping)
+        assert table.shape[0] == targets.size == 1
+        with pytest.raises(DataError, match="no records carry an effort"):
+            feature_table([bare], catalog, mapping)
 
     def test_group_features_shape_and_constant_reuse_group(
         self, nasa_records, catalog, mapping
@@ -181,24 +233,52 @@ class TestFeatureMapping:
             row = []
             for group in catalog.group_names():
                 members = tuple(c for c in catalog.groups[group] if catalog.columns.get(c))
-                values = map_ratings_to_features(record, catalog, mapping, members)
+                values = np.array(reference_row(record, catalog, mapping, members))
                 row.append(float(values.mean()) if members else mapping.missing_value)
             rows.append(row)
         assert features.tobytes() == np.array(rows).tobytes()
 
     def test_code_features_and_owned_columns(self, nasa_records, catalog, mapping):
         _, features, owned = prepare_samples(nasa_records, catalog, mapping, "codes")
-        table = np.array([map_ratings_to_features(r, catalog, mapping) for r in nasa_records])
-        assert features.tobytes() == table.tobytes()
         codes = catalog.resolvable_codes()
+        table = np.array([reference_row(r, catalog, mapping, codes) for r in nasa_records])
+        assert features.tobytes() == table.tobytes()
         assert [[codes[i] for i in np.flatnonzero(row)] for row in owned] == [
             [c for c in catalog.groups[g] if c in codes] for g in catalog.group_names()
         ]
 
-    def test_normalized_effort_positive(self, nasa_records, mapping):
-        values = [normalized_effort(r, mapping) for r in nasa_records]
-        assert all(0.0 < v <= 1.0 for v in values)
-        assert max(values) == pytest.approx(1.0)
+    @pytest.mark.parametrize(
+        "mode, digests",
+        [
+            ("groups", ("9a717b9ad091fbe03fcb77807b4e5952789cb546cbdef6f7b8d0e24388d361ba",
+                        "239d780640eac260d13f45cd944c6edd74962d88c928094abc01d957dcdf5830",
+                        "433bef3bd9ff67acdf089535518ee4c57ca2e62fc915ff361125d04c54ce3948")),
+            ("codes", ("e1f4117bfd819761461ca00a01988bb1825125bb45a188d5ed0bca1e4712635a",
+                       "239d780640eac260d13f45cd944c6edd74962d88c928094abc01d957dcdf5830",
+                       "25777a279838a20957ce0a4d898d63af617e9b20e20fcf4565b97737796c7264")),
+        ],
+    )
+    def test_prepare_samples_pinned(self, nasa_records, catalog, mapping, mode, digests):
+        """The samples, feature table and owned mask of the bundled data,
+        pinned bit for bit: every report depends on them."""
+        samples, features, owned = prepare_samples(nasa_records, catalog, mapping, mode)
+        inputs = np.array([inp for inp, _ in samples])
+        targets = np.array([target for _, target in samples])
+        assert all(type(target) is float for _, target in samples)
+        assert inputs.tobytes() == features.tobytes()
+        arrays = (features, targets, owned)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+
+    def test_unfitted_size_range_rejected(self, nasa_records, catalog):
+        with pytest.raises(DataError, match="size"):
+            prepare_samples(nasa_records, catalog, FeatureMapping.fit([]), "codes")
+
+    def test_normalized_effort_positive(self, nasa_records, catalog, mapping):
+        _, targets = feature_table(nasa_records, catalog, mapping)
+        assert np.all((targets > 0.0) & (targets <= 1.0))
+        assert targets.max() == 1.0
+        expected = [r.effort / mapping.max_effort for r in nasa_records]
+        assert targets.tobytes() == np.array(expected).tobytes()
 
 
 class TestConfig:
@@ -287,6 +367,8 @@ class TestConfig:
             {"ordinal_values": {"low": "a"}},
             {"ordinal_values": "x"},
             {"criteria_kinds": 5},
+            {"ordinal_values": {"very_low": 0.0, "low": 0.2, "nominal": 0.4, "high": 0.6,
+                                "very_high": 0.8, "extra_high": 1.0, "Nominal": 0.9}},
         ],
     )
     def test_wrong_value_types_rejected(self, payload):
