@@ -353,7 +353,8 @@ def feature_table(
     is one value, reads ``missing_value``.  The target is effort over the
     largest fitted effort, so it is never zero and percentage errors stay
     defined.  Raises DataError when no record carries an effort, and for
-    an unmapped rating level or sizes without a fitted range.
+    an unmapped rating level, sizes without a fitted range, or a mapping
+    without a positive fitted effort.
     """
     records = [r for r in records if r.effort is not None]
     if not records:
