@@ -13,6 +13,13 @@ median and quartiles of each side, the pairs in which the change read
 lower and higher, and the change's median over the parent's; the failed
 and attempted unit counts; and the report digests of every seed.  A run
 for another workload adds it to an existing output file.
+
+Each end-to-end metric of ``BENCHMARK.json`` also gets two verdicts, read
+in the direction its ``better`` names.  ``claim_met``: the change is better
+in at least 9 of 10 pairs (ties count for neither side), and its median
+beats the parent's by more than the parent's q3 - q1.  ``regressed``: the
+change's median is worse than the parent's by more than the metric's
+``bound``, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -57,9 +65,31 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def end_to_end_rules() -> dict:
+    """Each end-to-end metric's entry in ``BENCHMARK.json``, by name."""
+    return {rule["name"]: rule for rule in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def verdicts(parent: list[float], change: list[float], rule: dict) -> dict:
+    """``claim_met`` and ``regressed`` of one metric's paired values under
+    its ``BENCHMARK.json`` rule; values are negated when higher is better."""
+    sign = 1.0 if rule["better"] == "lower" else -1.0
+    parent = [sign * v for v in parent]
+    change = [sign * v for v in change]
+    base, change_median = spread(parent), statistics.median(change)
+    better_pairs = sum(c < p for p, c in zip(parent, change))
+    clear = change_median < base["median"] - (base["q3"] - base["q1"])
+    return {
+        "claim_met": better_pairs >= 0.9 * len(parent) and clear,
+        "regressed": change_median > base["median"] + rule["bound"] * abs(base["median"]),
+    }
+
+
+def summarize(pairs: list[dict], rules: dict | None = None) -> dict:
     """The summary of one workload's pairs, each ``{"parent": result,
-    "change": result}`` with the results of ``run_side``."""
+    "change": result}`` with the results of ``run_side``.  A metric that
+    ``rules`` (from ``end_to_end_rules``) names also gets its verdicts."""
+    rules = rules or {}
     metrics = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
@@ -70,6 +100,7 @@ def summarize(pairs: list[dict]) -> dict:
             "median_ratio": (
                 statistics.median(values["change"]) / statistics.median(values["parent"])
             ),
+            **(verdicts(values["parent"], values["change"], rules[name]) if name in rules else {}),
         }
     digests = {side: {} for side in SIDES}
     for pair in pairs:
@@ -115,8 +146,12 @@ def main(argv=None) -> int:
                           "--seconds <s> --trace 0")
     summary["order"] = ("pair k uses --seed k; the parent runs first in odd pairs, "
                         "the change in even ones")
-    summary.setdefault("workloads", {})[args.workload] = {
-        "seconds": args.seconds, **summarize(pairs)}
+    workload = summary.setdefault("workloads", {})[args.workload] = {
+        "seconds": args.seconds, **summarize(pairs, end_to_end_rules())}
+    for name, metric in workload["metrics"].items():
+        if "claim_met" in metric:
+            print(f"{name}: claim_met {metric['claim_met']}, regressed {metric['regressed']}",
+                  file=sys.stderr)
     out.setdefault("pairs", {})[args.workload] = pairs
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

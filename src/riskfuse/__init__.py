@@ -29,7 +29,6 @@ from .dataset import (
 )
 from .dematel import (
     DematelResult,
-    DirectRelationMatrix,
     aggregate_responses,
     normalize_direct_matrix,
     priority_weights,

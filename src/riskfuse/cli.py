@@ -107,7 +107,7 @@ def _cmd_weights(args) -> int:
     config = _load_pipeline_config(args)
     matrices, scale, criteria = _load_matrices(Path(args.matrices), config.scale)
     s = aggregate_responses(matrices, scale)
-    criteria = _check_names(criteria, s.size, "criteria")
+    criteria = _check_names(criteria, len(s), "criteria")
     result = dematel_evaluate(s)
     if criteria:
         print("criteria:", ", ".join(criteria))

@@ -195,11 +195,14 @@ _FIELDS = {
 
 
 def _header_field(column: str, seen: dict[str, str], line: int) -> tuple[str | None, str]:
-    """A header column's (field, name).  ``seen`` maps each rating, size
-    and effort field to the column that gave it: none takes two columns."""
+    """A header column's (field, name).  ``seen`` maps each field to the
+    column that gave it: none takes two columns, and every ID column
+    after the first is an extra."""
     name = column.strip().lower()
     field = _FIELDS.get(name)
-    if field not in (None, "id"):
+    if field == "id" and field in seen:
+        field = None
+    elif field is not None:
         if field in seen:
             raise DataError(f"line {line}: columns {seen[field]!r} and {name!r} both give {field}")
         seen[field] = name
@@ -224,7 +227,7 @@ def _build_record(
             size = _parse_number(token, name, line)
         elif field == "effort":
             effort = _parse_number(token, name, line)
-        elif field == "id" and identifier == str(index + 1):
+        elif field == "id":
             identifier = token.strip() or identifier
         else:
             extras[name] = token.strip()
@@ -258,6 +261,8 @@ def _load_arff(path: Path) -> list[ProjectRecord]:
                 continue
             lowered = line.lower()
             if lowered.startswith("@attribute"):
+                if in_data:
+                    raise DataError(f"line {line_no}: @attribute declaration after @data")
                 parts = line.split(None, 2)
                 if len(parts) < 2:
                     raise DataError(f"line {line_no}: malformed @attribute declaration")

@@ -20,48 +20,36 @@ FIXED_POINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class DirectRelationMatrix:
-    """Crisp direct-relation matrix averaged over respondents."""
-
-    entries: np.ndarray
-    respondent_count: int
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DataError(f"direct-relation matrix must be square, got {entries.shape}")
-        if np.any(np.diag(entries) != 0.0):
-            raise DataError("direct-relation matrix must have a zero diagonal")
-        if np.any(entries < 0.0):
-            raise DataError("direct-relation matrix entries must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class DematelResult:
     """All intermediate and final DEMATEL artifacts.
 
     Attributes:
         q: normalized direct-relation matrix.
         t: total-relation matrix.
-        r_row: row sums of t (influence given).
-        c_col: column sums of t (influence received).
-        prominence: r_row + c_col.
-        relation: r_row - c_col.
+        prominence: R + C, the row plus the column sums of t (influence
+            given plus influence received).
+        relation: R - C.
         weights: normalized prominence, summing to 1.
     """
 
     q: np.ndarray
     t: np.ndarray
-    r_row: np.ndarray
-    c_col: np.ndarray
     prominence: np.ndarray
     relation: np.ndarray
     weights: np.ndarray
+
+
+def _direct_matrix(s) -> np.ndarray:
+    """``s`` as a float array, checked to be a square direct-relation
+    matrix with a zero diagonal and nonnegative entries."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or not len(s):
+        raise DataError(f"direct-relation matrix must be square (n >= 1), got {s.shape}")
+    if np.any(np.diag(s) != 0.0):
+        raise DataError("direct-relation matrix must have a zero diagonal")
+    if np.any(s < 0.0):
+        raise DataError("direct-relation matrix entries must be nonnegative")
+    return s
 
 
 def _judgment(cell, scale: LinguisticScale):
@@ -74,8 +62,8 @@ def _judgment(cell, scale: LinguisticScale):
     return triple
 
 
-def aggregate_responses(matrices: list, scale: LinguisticScale) -> DirectRelationMatrix:
-    """Aggregate respondent judgment matrices into one crisp matrix.
+def aggregate_responses(matrices: list, scale: LinguisticScale) -> np.ndarray:
+    """Aggregate respondent judgment matrices into one crisp (n, n) matrix.
 
     The grids become one (respondents, n, n, 3) TFN array, and each cell
     of the result is the CFCS defuzzification of that cell's judgments
@@ -103,19 +91,19 @@ def aggregate_responses(matrices: list, scale: LinguisticScale) -> DirectRelatio
         )
     crisp = cfcs_defuzzify(tfns)
     np.fill_diagonal(crisp, 0.0)
-    return DirectRelationMatrix(entries=crisp, respondent_count=len(matrices))
+    return crisp
 
 
-def normalize_direct_matrix(s: DirectRelationMatrix) -> np.ndarray:
+def normalize_direct_matrix(s: np.ndarray) -> np.ndarray:
     """Normalize the direct-relation matrix by its maximum row sum.
 
     Q = S / max_j(sum_i s_ji); every entry of Q lies in [0, 1].
     """
-    row_sums = s.entries.sum(axis=1)
-    max_row = row_sums.max()
+    s = _direct_matrix(s)
+    max_row = s.sum(axis=1).max()
     if max_row <= 0.0:
         raise NumericalError("direct-relation matrix is all zero; cannot normalize")
-    return s.entries / max_row
+    return s / max_row
 
 
 def total_relation_matrix(q: np.ndarray) -> np.ndarray:
@@ -172,25 +160,18 @@ def priority_weights(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return prominence / total
 
 
-def evaluate(s: DirectRelationMatrix) -> DematelResult:
-    """Run the full DEMATEL chain on a crisp direct-relation matrix.
+def evaluate(s: np.ndarray) -> DematelResult:
+    """Run the full DEMATEL chain on a crisp (n, n) direct-relation matrix.
 
     A lone criterion relates to nothing: it takes the full weight, and
     its relation matrices and sums are zero.
     """
-    if s.size == 1:
+    if len(_direct_matrix(s)) == 1:
         zero, zeros = np.zeros((1, 1)), np.zeros(1)
-        return DematelResult(zero, zero, zeros, zeros, zeros, zeros, weights=np.ones(1))
+        return DematelResult(zero, zero, zeros, zeros, weights=np.ones(1))
     q = normalize_direct_matrix(s)
     t = total_relation_matrix(q)
-    r_row, c_col = prominence_relation(t)
-    weights = priority_weights(r_row, c_col)
+    r, c = prominence_relation(t)
     return DematelResult(
-        q=q,
-        t=t,
-        r_row=r_row,
-        c_col=c_col,
-        prominence=r_row + c_col,
-        relation=r_row - c_col,
-        weights=weights,
+        q=q, t=t, prominence=r + c, relation=r - c, weights=priority_weights(r, c)
     )

@@ -299,10 +299,9 @@ def run_pipeline(
     # DEMATEL criterion weights.
     with _stage("dematel"):
         s = dematel.aggregate_responses(respondent_matrices, config.scale)
-        if s.size != n:
+        if len(s) != n:
             raise DataError(
-                f"judgment matrices are {s.size}x{s.size} but the catalog "
-                f"defines {n} criteria"
+                f"judgment matrices are {len(s)}x{len(s)} but the catalog defines {n} criteria"
             )
         dematel_result = dematel.evaluate(s)
     weights = dematel_result.weights
@@ -358,7 +357,7 @@ def run_pipeline(
         p_out = aggregate_risk(weights, f)
 
     intermediates = {
-        "direct_relation": s.entries.tolist(),
+        "direct_relation": s.tolist(),
         "normalized_relation": dematel_result.q.tolist(),
         "total_relation": dematel_result.t.tolist(),
         "prominence": dematel_result.prominence.tolist(),

@@ -25,7 +25,6 @@ from riskfuse.cli import cli_main
 from riskfuse.config import PipelineConfig
 from riskfuse.dataset import bundled_path, load_dataset
 from riskfuse.dematel import (
-    DirectRelationMatrix,
     evaluate as dematel_evaluate,
     normalize_direct_matrix,
     total_relation_matrix,
@@ -60,8 +59,7 @@ def test_acceptance_01_dematel_oracle_equivalence():
         n = int(rng.integers(2, 9))
         entries = rng.random((n, n)) * 4.0
         np.fill_diagonal(entries, 0.0)
-        s = DirectRelationMatrix(entries=entries, respondent_count=1)
-        q = normalize_direct_matrix(s)
+        q = normalize_direct_matrix(entries)
         t = total_relation_matrix(q)
 
         oracle = np.zeros_like(q)
@@ -72,7 +70,7 @@ def test_acceptance_01_dematel_oracle_equivalence():
         oracle += term
         assert np.max(np.abs(t - oracle)) < 1e-6
 
-        weights = dematel_evaluate(s).weights
+        weights = dematel_evaluate(entries).weights
         assert abs(weights.sum() - 1.0) < 1e-9
         assert np.all(weights >= 0.0)
     elapsed = time.perf_counter() - started
@@ -85,7 +83,7 @@ def test_acceptance_01_dematel_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 def test_acceptance_02_dematel_hand_trace():
-    s = DirectRelationMatrix(entries=np.array([[0.0, 2.0], [1.0, 0.0]]), respondent_count=1)
+    s = np.array([[0.0, 2.0], [1.0, 0.0]])
     result = dematel_evaluate(s)
     assert np.max(np.abs(result.t - np.array([[1.0, 2.0], [1.0, 1.0]]))) <= 1e-12
     assert np.max(np.abs(result.weights - np.array([0.5, 0.5]))) <= 1e-12

@@ -57,3 +57,45 @@ def test_unit_counts_and_digests():
     summary = bench_pairs.summarize(drifted)
     assert not summary["reports_identical_to_parent"]
     assert summary["report_sha256_per_seed"]["change"]["11"] == ["a", "c"]
+
+
+# Ten pairs around 1.0 s; the parent's inclusive quartiles are 0.9925 and 1.01.
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+LOWER = {"better": "lower", "bound": 0.25}
+
+
+def ten_pairs(change):
+    return [{"seed": k, "parent": side(p, 40.0), "change": side(c, 40.0)}
+            for k, (p, c) in enumerate(zip(PARENT, change), start=1)]
+
+
+def test_verdicts_follow_benchmark_rules():
+    rules = bench_pairs.end_to_end_rules()
+    assert rules["run_s"]["better"] == "lower"
+    run_s = bench_pairs.summarize(ten_pairs([p - 0.1 for p in PARENT]), rules)["metrics"]["run_s"]
+    assert (run_s["claim_met"], run_s["regressed"]) == (True, False)
+    # peak_rss_mb ties in every pair: no claim, no regression.
+    rss = bench_pairs.summarize(ten_pairs(PARENT), rules)["metrics"]["peak_rss_mb"]
+    assert (rss["claim_met"], rss["regressed"]) == (False, False)
+
+
+@pytest.mark.parametrize(
+    "change, claim_met",
+    [([p - 0.1 for p in PARENT[:9]] + [1.2], True),  # 9 of 10 lower
+     ([p - 0.1 for p in PARENT[:9]] + [PARENT[9]], True),  # a tie counts for neither
+     ([p - 0.1 for p in PARENT[:8]] + [PARENT[8], 1.2], False),  # 8 lower, 1 tie
+     ([p - 0.005 for p in PARENT], False)],  # lower everywhere, within q3 - q1
+    ids=["nine-lower", "nine-lower-one-tie", "eight-lower", "within-spread"],
+)
+def test_claim_met(change, claim_met):
+    assert bench_pairs.verdicts(PARENT, change, LOWER)["claim_met"] is claim_met
+
+
+@pytest.mark.parametrize(
+    "factor, better, regressed",
+    [(1.3, "lower", True), (1.2, "lower", False), (0.7, "higher", True), (0.8, "higher", False)],
+)
+def test_regressed_past_bound(factor, better, regressed):
+    rule = {"better": better, "bound": 0.25}
+    change = [factor * p for p in PARENT]
+    assert bench_pairs.verdicts(PARENT, change, rule)["regressed"] is regressed

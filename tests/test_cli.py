@@ -66,6 +66,12 @@ class TestWeightsCommand:
         assert cli_main(["weights", "--matrices", str(path)]) == 2
         assert "data error:" in capsys.readouterr().err
 
+    def test_negative_cell_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"respondents": [[[0, -1], [1, 0]]]}))
+        assert cli_main(["weights", "--matrices", str(path)]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "criteria", [5, ["a", "b", "c"], [1, 2]], ids=["number", "three-names", "non-string"]
     )
@@ -376,6 +382,12 @@ class TestExitCodes:
 
     def test_missing_data_file_is_data_error(self, capsys):
         assert cli_main(["pipeline", "--data", "/nonexistent/file.csv"]) == 2
+
+    def test_attribute_after_data_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "late.arff"
+        path.write_text("@attribute rely {l,h}\n@data\nh\n@attribute kloc real\nl,10\n")
+        assert cli_main(["pipeline", "--data", str(path)]) == 2
+        assert "@attribute declaration after @data" in capsys.readouterr().err
 
     def test_degenerate_judgments_are_numerical_error(self, tmp_path, capsys):
         # perfectly uniform judgments: spectral radius 1, no total relation

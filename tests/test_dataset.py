@@ -107,6 +107,26 @@ class TestLoadDataset:
     def test_unknown_columns_preserved(self, nasa_records):
         assert "cat2" in nasa_records[0].extras
 
+    def test_first_id_column_gives_identifier(self, nasa_records):
+        first = nasa_records[0]
+        assert first.identifier == "1"
+        assert first.extras["projectname"] == "proj01"
+        assert "recordnumber" not in first.extras
+
+    def test_identifier_is_not_the_row_number(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("recordnumber,projectname,effort\n7,alpha,10\n,beta,20\n")
+        first, second = load_dataset(path)
+        assert (first.identifier, first.extras) == ("7", {"projectname": "alpha"})
+        # An empty ID token falls back to the row number.
+        assert (second.identifier, second.extras) == ("2", {"projectname": "beta"})
+
+    def test_attribute_after_data_rejected(self, tmp_path):
+        path = tmp_path / "late.arff"
+        path.write_text("@attribute rely {l,h}\n@data\nh\n@attribute kloc real\nl,10\n")
+        with pytest.raises(DataError, match="line 4: @attribute declaration after @data"):
+            load_dataset(path)
+
     def test_unsupported_format(self, tmp_path):
         path = tmp_path / "data.xml"
         path.write_text("<x/>")

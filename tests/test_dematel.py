@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from riskfuse.dematel import (
-    DirectRelationMatrix,
     aggregate_responses,
     evaluate,
     normalize_direct_matrix,
@@ -44,15 +43,10 @@ def random_cell(rng):
     return (l, l + a, l + a + b) if kind == 3 else [l, l + a, l + a + b]
 
 
-def make_drm(entries):
-    entries = np.array(entries, dtype=float)
-    return DirectRelationMatrix(entries=entries, respondent_count=1)
-
-
 def random_direct_matrix(rng, n):
     entries = rng.random((n, n)) * 4.0
     np.fill_diagonal(entries, 0.0)
-    return make_drm(entries)
+    return entries
 
 
 def neumann_series(q, tol=1e-9, max_terms=10_000):
@@ -67,41 +61,44 @@ def neumann_series(q, tol=1e-9, max_terms=10_000):
     return total
 
 
-class TestDirectRelationMatrix:
-    def test_must_be_square_with_zero_diagonal(self):
-        with pytest.raises(DataError):
-            make_drm([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
-        with pytest.raises(DataError):
-            make_drm([[1.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(DataError):
-            make_drm([[0.0, -1.0], [1.0, 0.0]])
+@pytest.mark.parametrize(
+    "entries, message",
+    [([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], "must be square"),
+     (np.zeros((0, 0)), "must be square"),
+     ([[1.0, 1.0], [1.0, 0.0]], "zero diagonal"),
+     ([[0.0, -1.0], [1.0, 0.0]], "nonnegative")],
+    ids=["not-square", "empty", "diagonal", "negative"],
+)
+@pytest.mark.parametrize("chain", [evaluate, normalize_direct_matrix], ids=lambda f: f.__name__)
+def test_rejects_malformed_direct_matrix(chain, entries, message):
+    with pytest.raises(DataError, match=message):
+        chain(entries)
 
 
 class TestAggregateResponses:
     def test_crisp_passthrough(self):
         matrix = [[(0.0, 0.0, 0.0), (0.7, 0.7, 0.7)], [(0.3, 0.3, 0.3), (0.0, 0.0, 0.0)]]
         result = aggregate_responses([matrix], DEFAULT_DEMATEL_SCALE)
-        assert result.entries == pytest.approx(np.array([[0.0, 0.7], [0.3, 0.0]]))
+        assert result == pytest.approx(np.array([[0.0, 0.7], [0.3, 0.0]]))
 
     def test_identical_respondents_average_to_one(self):
         matrix = [["No influence", "High"], ["Low", "No influence"]]
         once = aggregate_responses([matrix], DEFAULT_DEMATEL_SCALE)
         twice = aggregate_responses([matrix, matrix], DEFAULT_DEMATEL_SCALE)
-        assert twice.entries == pytest.approx(once.entries)
-        assert twice.respondent_count == 2
+        assert twice == pytest.approx(once)
 
     def test_two_respondent_cfcs_cell(self):
         # Hand CFCS over span [0, 1]: totals 0.04/1.2 and 1.16/1.2, mean 0.5.
         low = [[(0.0, 0.0, 0.0), (0.0, 0.0, 0.25)], [(0.2, 0.2, 0.2), (0.0, 0.0, 0.0)]]
         high = [[(0.0, 0.0, 0.0), (0.75, 1.0, 1.0)], [(0.2, 0.2, 0.2), (0.0, 0.0, 0.0)]]
         result = aggregate_responses([low, high], DEFAULT_DEMATEL_SCALE)
-        assert 0.0 < result.entries[0, 1] < 1.0
-        assert result.entries[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert 0.0 < result[0, 1] < 1.0
+        assert result[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_numbers_and_labels_mix(self):
         matrix = [[0, "Very high"], [2, 0]]
         result = aggregate_responses([matrix], DEFAULT_DEMATEL_SCALE)
-        assert result.entries[1, 0] == pytest.approx(2.0)
+        assert result[1, 0] == pytest.approx(2.0)
 
     def test_matches_scalar_cfcs_on_mixed_grids(self, rng):
         def triple(cell):
@@ -112,7 +109,7 @@ class TestAggregateResponses:
         for _ in range(200):
             n, k = int(rng.integers(1, 6)), int(rng.integers(1, 13))
             grids = [[[random_cell(rng) for _ in range(n)] for _ in range(n)] for _ in range(k)]
-            entries = aggregate_responses(grids, DEFAULT_DEMATEL_SCALE).entries
+            entries = aggregate_responses(grids, DEFAULT_DEMATEL_SCALE)
             expected = np.zeros((n, n))
             for i in range(n):
                 for j in range(n):
@@ -132,16 +129,16 @@ class TestAggregateResponses:
 
 class TestNormalize:
     def test_two_by_two_trace(self):
-        q = normalize_direct_matrix(make_drm([[0.0, 2.0], [1.0, 0.0]]))
+        q = normalize_direct_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
         assert q == pytest.approx(np.array([[0.0, 1.0], [0.5, 0.0]]), abs=1e-15)
 
     def test_unit_max_row_sum_is_identity_scaling(self):
-        s = make_drm([[0.0, 1.0], [0.3, 0.0]])
-        assert normalize_direct_matrix(s) == pytest.approx(s.entries)
+        s = np.array([[0.0, 1.0], [0.3, 0.0]])
+        assert normalize_direct_matrix(s) == pytest.approx(s)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(NumericalError):
-            normalize_direct_matrix(make_drm([[0.0, 0.0], [0.0, 0.0]]))
+            normalize_direct_matrix(np.zeros((2, 2)))
 
     def test_entries_within_unit_interval(self, rng):
         for n in (2, 4, 7):
@@ -217,14 +214,14 @@ class TestEndToEnd:
     def test_permutation_equivariance(self, rng):
         s = random_direct_matrix(rng, 5)
         perm = rng.permutation(5)
-        permuted = make_drm(s.entries[np.ix_(perm, perm)])
+        permuted = s[np.ix_(perm, perm)]
         assert evaluate(permuted).weights == pytest.approx(
             evaluate(s).weights[perm], abs=1e-12
         )
 
     def test_scale_invariance(self, rng):
         s = random_direct_matrix(rng, 4)
-        scaled = make_drm(3.0 * s.entries)
+        scaled = 3.0 * s
         base = evaluate(s)
         rescaled = evaluate(scaled)
         assert rescaled.q == pytest.approx(base.q, abs=1e-12)
@@ -235,11 +232,11 @@ class TestEndToEnd:
         entries = np.full((4, 4), 0.5)
         np.fill_diagonal(entries, 0.0)
         entries[0, 1] += 1e-6  # break the exact symmetry
-        result = evaluate(make_drm(entries))
+        result = evaluate(entries)
         assert result.weights == pytest.approx(np.full(4, 0.25), abs=1e-5)
 
     def test_lone_criterion(self):
-        result = evaluate(make_drm([[0.0]]))
+        result = evaluate([[0.0]])
         assert result.weights.tolist() == [1.0]
         assert result.q.tolist() == result.t.tolist() == [[0.0]]
         assert result.prominence.tolist() == result.relation.tolist() == [0.0]
@@ -250,4 +247,4 @@ class TestEndToEnd:
         entries = np.full((4, 4), 0.5)
         np.fill_diagonal(entries, 0.0)
         with pytest.raises(NumericalError):
-            evaluate(make_drm(entries))
+            evaluate(entries)
