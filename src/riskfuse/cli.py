@@ -25,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, _scale_from_dict, load_config
+from .config import PipelineConfig, _is_real, _scale_from_dict, load_config
 from .dataset import FeatureMapping, bundled_path, default_catalog, load_dataset
 from .dematel import aggregate_responses, evaluate as dematel_evaluate
 from .ecsa import BENCHMARKS, MAX_COUNT, EcsaConfig, classical_csa, optimize, random_search
 from .errors import DataError, NumericalError, RiskfuseError, read_json
-from .fuzzy import IntuitionisticFuzzyValue, LinguisticScale
+from .fuzzy import LinguisticScale
 from .pipeline import cross_validate, prepare_samples, run_pipeline
 from .reporting import emit_report
 from .topsis import CriterionKind, IfDecisionMatrix, rank_weighted
@@ -142,19 +142,25 @@ def _cmd_tune(args) -> int:
     return 0
 
 
+def _if_cell(cell) -> list:
+    """A JSON (mu, nu[, pi]) cell of finite numbers; pi defaults to 1 - mu - nu."""
+    if not (isinstance(cell, list) and len(cell) in (2, 3) and all(map(_is_real, cell))):
+        raise ValueError(f"cell {cell!r} is not a list of 2 or 3 finite numbers")
+    return cell if len(cell) == 3 else [*cell, 1.0 - cell[0] - cell[1]]
+
+
 def _cmd_rank(args) -> int:
     path = Path(args.matrix)
     payload = read_json(path, "matrix")
     try:
         kinds = tuple(CriterionKind(k) for k in payload["criteria_kinds"])
-        rows = [[IntuitionisticFuzzyValue(*cell) for cell in row] for row in payload["cells"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        cells = np.array([[_if_cell(c) for c in row] for row in payload["cells"]], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed weighted IF matrix ({exc})") from exc
-    matrix = IfDecisionMatrix(rows=rows, criteria_kinds=kinds)
-    names = _check_names(payload.get("names"), matrix.n_alternatives, "names") or [
-        f"A{i}" for i in range(matrix.n_alternatives)
-    ]
-    xi, ranking = rank_weighted(matrix)
+    matrix = IfDecisionMatrix(rows=cells, criteria_kinds=kinds)
+    n = len(cells)
+    names = _check_names(payload.get("names"), n, "names") or [f"A{i}" for i in range(n)]
+    xi, ranking = rank_weighted(matrix.rows, matrix.benefit)
     print("xi =", _format_vector(xi))
     print("ranking:", " > ".join(names[i] for i in ranking))
     return 0

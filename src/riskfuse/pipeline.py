@@ -27,7 +27,6 @@ from .dataset import (
 from .ecsa import optimize
 from .errors import DataError, PipelineError, RiskfuseError
 from .fuzzy import lift_crisp
-from .topsis import IfDecisionMatrix, lift_crisp_weights
 
 P_OUT_TOL = 1e-9
 
@@ -346,10 +345,10 @@ def run_pipeline(
         # A lone criterion's total relation is zero: full evidence.
         t = dematel_result.t
         evidence = t / t.max() if n > 1 else np.ones((n, n))
-        raw_matrix = IfDecisionMatrix(
+        raw_matrix = topsis.IfDecisionMatrix(
             rows=lift_crisp(np.clip(f, 0.0, 1.0)[:, None] * evidence), criteria_kinds=kinds
         )
-        weighted_matrix, xi, ranking = topsis.evaluate(raw_matrix, lift_crisp_weights(weights))
+        weighted, xi, ranking = topsis.evaluate(raw_matrix, topsis.lift_crisp_weights(weights))
         ties = topsis.tied_groups(xi)
 
     # Aggregate risk score.
@@ -363,7 +362,7 @@ def run_pipeline(
         "prominence": dematel_result.prominence.tolist(),
         "relation": dematel_result.relation.tolist(),
         "raw_if_matrix": raw_matrix.rows.tolist(),
-        "weighted_if_matrix": weighted_matrix.rows.tolist(),
+        "weighted_if_matrix": weighted.tolist(),
         "criteria_kinds": [k.value for k in kinds],
         "factor_probes": probes.tolist(),
         "model": anfis.model_to_dict(model),

@@ -3,6 +3,8 @@
 Builds the weighted IF decision matrix, extracts positive and negative
 ideal solutions per criterion, measures normalized Euclidean separation
 from both, and ranks alternatives by the relative closeness coefficient.
+The helpers take IF cells as one float (alternatives, criteria, 3) array
+and a benefit mask, True per benefit criterion (``IfDecisionMatrix.benefit``).
 """
 
 from __future__ import annotations
@@ -50,37 +52,29 @@ class IfDecisionMatrix:
             )
 
     @property
-    def n_alternatives(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_criteria(self) -> int:
-        return self.rows.shape[1]
+    def benefit(self) -> np.ndarray:
+        """The benefit mask: True for each benefit criterion, False for cost."""
+        return np.array([kind is CriterionKind.BENEFIT for kind in self.criteria_kinds])
 
 
 def lift_crisp_weights(weights: Sequence[float]) -> np.ndarray:
-    """Lift crisp weights in [0, 1] to IF weights (w, 1-w, 0), shape
-    (criteria, 3).
-
-    Used when no expert intuitionistic weights are supplied.
-    """
+    """Lift crisp weights in [0, 1] to IF weights (w, 1-w, 0), shape (criteria, 3),
+    as ``fuzzy.lift_crisp`` does, when no expert IF weights are supplied."""
     return lift_crisp(weights)
 
 
-def weighted_if_matrix(raw: IfDecisionMatrix, weights: ArrayLike) -> IfDecisionMatrix:
+def weighted_if_matrix(raw: IfDecisionMatrix, weights: ArrayLike) -> np.ndarray:
     """Multiply every cell by its criterion's intuitionistic weight; the
     (criteria, 3) weights broadcast over the alternatives."""
     weights = check_ifv(weights)
-    if weights.shape != (raw.n_criteria, 3):
+    if weights.shape != raw.rows.shape[1:]:
         raise DataError(
-            f"weights of shape {weights.shape} supplied for {raw.n_criteria} criteria"
+            f"weights of shape {weights.shape} supplied for {raw.rows.shape[1]} criteria"
         )
-    return IfDecisionMatrix(
-        rows=ifv_multiply(raw.rows, weights), criteria_kinds=raw.criteria_kinds
-    )
+    return ifv_multiply(raw.rows, weights)
 
 
-def ideal_solutions(m: IfDecisionMatrix) -> np.ndarray:
+def ideal_solutions(cells: np.ndarray, benefit: ArrayLike) -> np.ndarray:
     """Per-criterion ideal IF cells: one (2, criteria, 3) array holding
     the positive ideal, then the negative one.
 
@@ -88,16 +82,17 @@ def ideal_solutions(m: IfDecisionMatrix) -> np.ndarray:
     alternatives and the negative ideal (min mu, max nu); the roles swap
     for cost criteria.  Hesitation is recomputed as 1 - mu - nu.
     """
-    mu, nu = m.rows[:, :, 0], m.rows[:, :, 1]
+    if np.shape(benefit) != cells.shape[1:2]:
+        raise DataError(f"benefit mask of shape {np.shape(benefit)} for {cells.shape[1]} criteria")
+    mu, nu = cells[:, :, 0], cells[:, :, 1]
     best_mu, best_nu = mu.max(axis=0), nu.min(axis=0)
     worst_mu, worst_nu = mu.min(axis=0), nu.max(axis=0)
     best = np.stack([best_mu, best_nu, 1.0 - best_mu - best_nu], axis=-1)
     worst = np.stack([worst_mu, worst_nu, 1.0 - worst_mu - worst_nu], axis=-1)
-    benefit = np.array([kind is CriterionKind.BENEFIT for kind in m.criteria_kinds])
-    return np.where(benefit[:, None], [best, worst], [worst, best])
+    return np.where(np.asarray(benefit)[:, None], [best, worst], [worst, best])
 
 
-def separation_measures(m: IfDecisionMatrix, ideals: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+def separation_measures(cells: np.ndarray, ideals: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """Normalized Euclidean distances of every alternative to the
     positive and negative ideals, the (2, criteria, 3) ``ideals``.
 
@@ -105,13 +100,12 @@ def separation_measures(m: IfDecisionMatrix, ideals: ArrayLike) -> tuple[np.ndar
     order, as the per-alternative loop of the definition does.
     """
     ideals = np.asarray(ideals, dtype=float)
-    if ideals.shape != (2, m.n_criteria, 3):
+    if ideals.shape != (2, *cells.shape[1:]):
         raise DataError(
-            f"ideal solutions of shape {ideals.shape} do not match "
-            f"(2, {m.n_criteria}, 3) for the matrix"
+            f"ideal solutions of shape {ideals.shape} do not match (2, {cells.shape[1]}, 3)"
         )
-    squares = (m.rows - ideals[:, None]) ** 2
-    v_pos, v_neg = np.sqrt(squares.sum(axis=3).sum(axis=2) / (2.0 * m.n_criteria))
+    squares = (cells - ideals[:, None]) ** 2
+    v_pos, v_neg = np.sqrt(squares.sum(axis=3).sum(axis=2) / (2.0 * cells.shape[1]))
     return v_pos, v_neg
 
 
@@ -147,21 +141,21 @@ def tied_groups(xi: np.ndarray) -> list[list[int]]:
     return [members for members in groups.values() if len(members) > 1]
 
 
-def rank_weighted(weighted: IfDecisionMatrix) -> tuple[np.ndarray, list[int]]:
-    """Ideals, separations, closeness and ranking of an already-weighted
-    matrix: the closeness coefficients and the ranked alternative indices."""
-    v_pos, v_neg = separation_measures(weighted, ideal_solutions(weighted))
+def rank_weighted(cells: np.ndarray, benefit: ArrayLike) -> tuple[np.ndarray, list[int]]:
+    """Ideals, separations, closeness and ranking of already-weighted
+    cells: the closeness coefficients and the ranked alternative indices."""
+    v_pos, v_neg = separation_measures(cells, ideal_solutions(cells, benefit))
     xi = closeness(v_pos, v_neg)
     return xi, rank_alternatives(xi)
 
 
 def evaluate(
     raw: IfDecisionMatrix, weights: ArrayLike
-) -> tuple[IfDecisionMatrix, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Full chain: weighting, then ``rank_weighted``.
 
-    Returns the weighted matrix, the closeness coefficients, and the
+    Returns the weighted cells, the closeness coefficients, and the
     ranked alternative indices.
     """
     weighted = weighted_if_matrix(raw, weights)
-    return (weighted, *rank_weighted(weighted))
+    return (weighted, *rank_weighted(weighted, raw.benefit))

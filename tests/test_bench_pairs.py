@@ -1,5 +1,6 @@
 """The summarizer of ``scripts/bench_pairs.py`` on hand-made pair records."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -99,3 +100,51 @@ def test_regressed_past_bound(factor, better, regressed):
     rule = {"better": better, "bound": 0.25}
     change = [factor * p for p in PARENT]
     assert bench_pairs.verdicts(PARENT, change, rule)["regressed"] is regressed
+
+
+# Stand-ins for the north star's arguments: write a fixed report, or fail.
+WRITES_REPORT = ("-c", "import sys; open(sys.argv[1], 'w').write('report')", "{out}")
+FAILS = ("-c", "raise SystemExit(3)", "{out}")
+
+
+def test_north_star_pairs_on_a_stub_command(tmp_path):
+    pairs = bench_pairs.alternating_pairs(
+        3, lambda side, k: bench_pairs.run_north_star(tmp_path, WRITES_REPORT))
+    assert [pair["first"] for pair in pairs] == ["parent", "change", "parent"]
+    summary = bench_pairs.summarize_north_star(pairs)
+    assert summary["pairs"] == 3
+    assert summary["exit_codes"] == {"parent": [0, 0, 0], "change": [0, 0, 0]}
+    sha = hashlib.sha256(b"report").hexdigest()
+    assert summary["report_sha256"] == {"parent": [sha], "change": [sha]}
+    assert summary["reports_identical_to_parent"]
+    for side in ("parent", "change"):
+        wall = summary["wall_s"][side]
+        assert 0.0 < wall["q1"] <= wall["median"] <= wall["q3"]
+    assert summary["wall_s"]["median_ratio"] > 0.0
+
+    failed = bench_pairs.run_north_star(tmp_path, FAILS)
+    assert (failed["exit_code"], failed["report_sha256"]) == (3, None)
+    pairs[-1] = {**pairs[-1], "change": failed}
+    summary = bench_pairs.summarize_north_star(pairs)
+    assert summary["exit_codes"]["change"] == [0, 0, 3]
+    assert summary["report_sha256"]["change"] == [sha]
+    assert not summary["reports_identical_to_parent"]
+
+
+def test_north_star_wall_times_summarized():
+    run = {"exit_code": 0, "report_sha256": "a"}
+    pairs = [{"parent": {**run, "wall_s": p}, "change": {**run, "wall_s": c}}
+             for p, c in [(3.0, 2.0), (2.0, 2.5), (4.0, 3.0), (5.0, 4.0)]]
+    summary = bench_pairs.summarize_north_star(pairs)
+    wall = summary["wall_s"]
+    assert wall["parent"] == pytest.approx({"median": 3.5, "q1": 2.75, "q3": 4.25})
+    assert (wall["change_lower_pairs"], wall["change_higher_pairs"]) == (3, 1)
+    assert wall["median_ratio"] == pytest.approx(2.75 / 3.5)
+    assert "claim_met" not in wall
+
+
+def test_seconds_required_only_for_perfbench_workloads(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "pipeline-codes", "--pairs", "2",
+                          "--out", str(tmp_path / "out.json")])

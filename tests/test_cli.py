@@ -352,14 +352,39 @@ class TestRankCommand:
              "names": ["only-one"]},
             {"cells": [[[0.8, 0.1]], [[0.2, 0.7]]], "criteria_kinds": ["benefit"],
              "names": [1, 2]},
+            *({"cells": [[cell]], "criteria_kinds": ["benefit"]} for cell in (
+                [True, False], [0.5], [0.5, 0.2, 0.3, 0.0], ["0.5", "0.2"], [0.5, 0.2, None],
+                [10**400, 0])),
         ],
-        ids=["no-criteria", "short-names", "non-string-names"],
+        ids=["no-criteria", "short-names", "non-string-names", "boolean-cell", "one-value-cell",
+             "four-value-cell", "string-cell", "null-pi-cell", "huge-integer-cell"],
     )
     def test_malformed_matrix_is_data_error(self, matrix, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(matrix))
         assert cli_main(["rank", "--matrix", str(path)]) == 2
-        assert "data error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    def test_ranks_a_pipeline_report_as_the_pipeline_did(self, quick_config_path, capsys,
+                                                          tmp_path):
+        report_path = tmp_path / "report.json"
+        argv = ["--seed", "11", "--config", quick_config_path, "--out", str(report_path)]
+        assert cli_main([*argv, "pipeline"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        report = json.loads(report_path.read_text())
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text(json.dumps({
+            "cells": report["intermediates"]["weighted_if_matrix"],
+            "criteria_kinds": report["intermediates"]["criteria_kinds"],
+            "names": report["criteria"],
+        }))
+        assert cli_main(["rank", "--matrix", str(matrix_path)]) == 0
+        ranked = capsys.readouterr().out.splitlines()
+        xi = ", ".join(map(str, report["closeness"]))
+        names = " > ".join(report["criteria"][i] for i in report["ranking"])
+        assert ranked == [f"xi = [{xi}]", f"ranking: {names}"]
+        assert ranked == [line for line in printed if line.startswith(("xi =", "ranking:"))]
 
     @pytest.mark.parametrize(
         "cells, xi",

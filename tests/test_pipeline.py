@@ -402,7 +402,7 @@ class TestRunPipeline:
         matrix = IfDecisionMatrix(
             rows=report.intermediates["weighted_if_matrix"], criteria_kinds=kinds
         )
-        xi, ranking = rank_weighted(matrix)
+        xi, ranking = rank_weighted(matrix.rows, matrix.benefit)
         assert xi == pytest.approx(report.closeness, abs=1e-12)
         assert ranking == report.ranking
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riskfuse.errors import DataError
-from riskfuse.fuzzy import IntuitionisticFuzzyValue
+from riskfuse.fuzzy import IntuitionisticFuzzyValue, ifv_multiply
 from riskfuse.topsis import (
     CriterionKind,
     IfDecisionMatrix,
@@ -144,12 +144,12 @@ class TestWeightedMatrix:
     def test_identity_weights_keep_matrix(self):
         raw = matrix_of([[(0.6, 0.3, 0.1), (0.2, 0.7, 0.1)]], [B, B])
         weighted = weighted_if_matrix(raw, lift_crisp_weights([1.0, 1.0]))
-        assert weighted.rows[..., :2] == pytest.approx(raw.rows[..., :2])
+        assert weighted[..., :2] == pytest.approx(raw.rows[..., :2])
 
     def test_derived_cell_product(self):
         raw = matrix_of([[(0.6, 0.3, 0.1)]], [B])
         weighted = weighted_if_matrix(raw, (IFV(0.5, 0.4, 0.1),))
-        mu, nu, pi = weighted.rows[0, 0]
+        mu, nu, pi = weighted[0, 0]
         assert mu == pytest.approx(0.30, abs=1e-12)
         assert nu == pytest.approx(0.58, abs=1e-12)
         assert pi == pytest.approx(0.12, abs=1e-12)
@@ -157,7 +157,7 @@ class TestWeightedMatrix:
     def test_zero_weight_collapses_column(self):
         raw = matrix_of([[(0.6, 0.3, 0.1)], [(0.9, 0.05, 0.05)]], [B])
         weighted = weighted_if_matrix(raw, (IFV(0.0, 1.0, 0.0),))
-        assert np.all(weighted.rows[:, 0, 0] == 0.0)
+        assert np.all(weighted[:, 0, 0] == 0.0)
 
     def test_weight_count_checked(self):
         raw = matrix_of([[(0.6, 0.3, 0.1)]], [B])
@@ -168,49 +168,56 @@ class TestWeightedMatrix:
 class TestIdealSolutions:
     def test_single_alternative_degenerate(self):
         m = matrix_of([[(0.6, 0.3, 0.1), (0.2, 0.7, 0.1)]], [B, C])
-        ideals = ideal_solutions(m)
+        ideals = ideal_solutions(m.rows, m.benefit)
         assert ideals.shape == (2, 2, 3)
         for ideal in ideals:
             assert ideal == pytest.approx(m.rows[0])
 
     def test_benefit_column(self):
         m = matrix_of([[(0.2, 0.7, 0.1)], [(0.8, 0.1, 0.1)]], [B])
-        positive, negative = ideal_solutions(m)
+        positive, negative = ideal_solutions(m.rows, m.benefit)
         assert positive[0, :2].tolist() == [0.8, 0.1]
         assert negative[0, :2].tolist() == [0.2, 0.7]
 
     def test_cost_column_swaps(self):
         m = matrix_of([[(0.2, 0.7, 0.1)], [(0.8, 0.1, 0.1)]], [C])
-        positive, negative = ideal_solutions(m)
+        positive, negative = ideal_solutions(m.rows, m.benefit)
         assert positive[0, :2].tolist() == [0.2, 0.7]
         assert negative[0, :2].tolist() == [0.8, 0.1]
+
+    @pytest.mark.parametrize("benefit", [[True], [True, False, True], [[True, False]]])
+    def test_benefit_mask_shape_checked(self, benefit):
+        m = matrix_of([[(0.5, 0.5, 0.0), (0.2, 0.7, 0.1)]], [B, C])
+        assert m.benefit.tolist() == [True, False]
+        with pytest.raises(DataError):
+            ideal_solutions(m.rows, benefit)
 
 
 class TestSeparation:
     def test_row_matching_ideal_has_zero_distance(self, rng):
         m = random_matrix(rng, 3, 2)
-        ideals = ideal_solutions(m)
+        ideals = ideal_solutions(m.rows, m.benefit)
         rows = list(m.rows) + [ideals[0]]
         extended = IfDecisionMatrix(rows=tuple(rows), criteria_kinds=m.criteria_kinds)
         # re-derive over the extended matrix so the appended row is an ideal
-        new_ideals = ideal_solutions(extended)
-        v_pos, _ = separation_measures(extended, new_ideals)
+        new_ideals = ideal_solutions(extended.rows, extended.benefit)
+        v_pos, _ = separation_measures(extended.rows, new_ideals)
         if np.array_equal(extended.rows[-1], new_ideals[0]):
             assert v_pos[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_criterion_hand_value(self):
         m = matrix_of([[(0.5, 0.5, 0.0)]], [B])
         ideals_override = ((IFV(1.0, 0.0, 0.0),), (IFV(0.5, 0.5, 0.0),))
-        v_pos, v_neg = separation_measures(m, ideals_override)
+        v_pos, v_neg = separation_measures(m.rows, ideals_override)
         assert v_pos[0] == pytest.approx(0.5)
         assert v_neg[0] == pytest.approx(0.0)
 
     def test_ideal_shapes_checked(self):
         m = matrix_of([[(0.5, 0.5, 0.0), (0.2, 0.7, 0.1)]], [B, B])
-        ideals = ideal_solutions(m)
+        ideals = ideal_solutions(m.rows, m.benefit)
         for broken in (ideals[:1], ideals[:, :1], ideals[..., :2]):
             with pytest.raises(DataError):
-                separation_measures(m, broken)
+                separation_measures(m.rows, broken)
 
 
 class TestCloseness:
@@ -282,7 +289,7 @@ class TestProperties:
         m = random_matrix(rng, 4, 3)
         weights = tuple(random_ifv(rng) for _ in range(3))
         weighted, xi, ranking = evaluate(m, weights)
-        xi_w, ranking_w = rank_weighted(weighted)
+        xi_w, ranking_w = rank_weighted(weighted, m.benefit)
         assert np.array_equal(xi, xi_w)
         assert ranking == ranking_w
 
@@ -297,4 +304,11 @@ class TestProperties:
             assert ranking == expected_ranking
             assert xi == pytest.approx(expected_xi, abs=1e-12)
             assert np.all((xi >= 0.0) & (xi <= 1.0))
-            assert np.all(weighted.rows[..., 0] + weighted.rows[..., 1] <= 1.0 + 1e-9)
+            assert np.all(weighted[..., 0] + weighted[..., 1] <= 1.0 + 1e-9)
+
+    def test_evaluate_returns_weighted_cells_as_plain_array(self, rng):
+        m = random_matrix(rng, 4, 3)
+        weights = tuple(random_ifv(rng) for _ in range(3))
+        weighted, _, _ = evaluate(m, weights)
+        assert type(weighted) is np.ndarray and weighted.dtype == np.float64
+        assert weighted.tobytes() == ifv_multiply(m.rows, weights).tobytes()
