@@ -157,10 +157,13 @@ def dynamic_awareness_probability(ranks: np.ndarray, config: EcsaConfig) -> np.n
     DAP = ap_min + (ap_max - ap_min) * rank / N_p, so the best crow
     (rank 1) is the least aware and the worst crow the most.
     """
-    ranks = np.asarray(ranks)
+    try:
+        ranks = np.asarray(ranks, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"ranks must be numbers, got {ranks!r}") from None
     n = config.population_size
-    if ranks.min() < 1 or ranks.max() > n:
-        raise DataError(f"ranks {ranks.tolist()} outside 1..{n}")
+    if not ranks.size or not np.all((ranks >= 1) & (ranks <= n) & (ranks % 1 == 0)):
+        raise DataError(f"ranks {ranks.tolist()} must be whole numbers in 1..{n}")
     return config.ap_min + (config.ap_max - config.ap_min) * ranks / n
 
 
@@ -182,6 +185,8 @@ def reshuffle_neighborhoods(n: int, rng: np.random.Generator) -> np.ndarray:
     in ring order, each once (so a ring of fewer than 5 crows gives each
     crow all of them).
     """
+    if not isinstance(n, Integral) or n < 1:
+        raise DataError(f"need a whole number of crows >= 1, got {n!r}")
     order = rng.permutation(n)
     slots = _ring_slots(n)
     neighborhoods = np.empty_like(slots)
@@ -327,39 +332,27 @@ def _ecsa_move(config, rng, itr, positions, fitnesses, memories, best):
     neighborhood, or, on an awareness draw below its probability,
     relocates around the best memory.
 
-    Only the draws run per crow, in crow order: awareness, then the picks
-    and r of a local move, or c2 and the sides of a global move (one draw
-    of 2 dim uniforms gives the bits of two draws of dim).  Each move then
-    runs once over its crows, and one clamp covers both."""
+    A move makes five generator calls, in this order: the ring shuffle,
+    one awareness draw per crow, then the (local, dim) picks and the r
+    of the local crows, then one (2, relocated, dim) block holding c2
+    and the sides of the relocated crows, each in crow order.  Each move
+    then runs once over its crows, and one clamp covers both."""
     n, dim = positions.shape
     neighborhoods = reshuffle_neighborhoods(n, rng)
     awareness = np.empty(n)
     awareness[fitnesses.argsort(kind="stable")] = config.awareness_by_rank
-    k = neighborhoods.shape[1]
-    random, integers = rng.random, rng.integers
-    local, picks, r, relocated, draws = [], [], [], [], []
-    for j, dap in enumerate(awareness.tolist()):
-        if random() >= dap:
-            local.append(j)
-            picks.append(integers(0, k, size=dim))
-            r.append(random())
-        else:
-            relocated.append(j)
-            draws.append(random(2 * dim))
+    aware = rng.random(n) < awareness
+    local, relocated = np.flatnonzero(~aware), np.flatnonzero(aware)
+    picks = rng.integers(0, neighborhoods.shape[1], size=(len(local), dim))
+    r = rng.random(len(local))
+    c2, side = rng.random((2, len(relocated), dim))
     lower, upper = config.lower, config.upper
     moved = np.empty_like(positions)
-    if local:
-        local = np.array(local)
-        moved[local] = local_neighborhood_update(
-            positions[local], neighborhoods[local], np.array(picks), np.array(r),
-            memories, config.flight_length,
-        )
-    if relocated:
-        draws = np.array(draws)
-        c1 = decay_coefficient(itr, config.max_iterations)
-        moved[np.array(relocated)] = global_update(
-            best, c1, draws[:, :dim], draws[:, dim:], lower, upper
-        )
+    moved[local] = local_neighborhood_update(
+        positions[local], neighborhoods[local], picks, r, memories, config.flight_length
+    )
+    c1 = decay_coefficient(itr, config.max_iterations)
+    moved[relocated] = global_update(best, c1, c2, side, lower, upper)
     return _clamp(moved, lower, upper)
 
 

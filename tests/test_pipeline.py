@@ -299,9 +299,9 @@ class TestGoldenReport:
         "payload, digest",
         [
             ({"runs": 1},
-             "f10d67fa002f2bbb77e3769cc192b109a1695766d4a467f5ae92e34885e42ac0"),
+             "90f1183e86392206fcbede8905c4cf41eaf7636884e9eb5890bb07090fe9b1dd"),
             ({"anfis_inputs": "codes", "runs": 1, "max_iterations": 6},
-             "283a83838723d7f25020b9ecad54b9c0f53e0ab2e21a6566af940ee6b7e717be"),
+             "5761d6bdbffb14985041c52c2404419eb3a8e182d35d1f4bec519e08d22d2dd0"),
         ],
         ids=["groups", "codes"],
     )
