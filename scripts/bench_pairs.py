@@ -14,12 +14,15 @@ lower and higher, and the change's median over the parent's; the failed
 and attempted unit counts; and the report digests of every seed.  A run
 for another workload adds it to an existing output file.
 
-Each end-to-end metric of ``BENCHMARK.json`` also gets two verdicts, read
-in the direction its ``better`` names.  ``claim_met``: the change is better
-in at least 9 of 10 pairs (ties count for neither side), and its median
-beats the parent's by more than the parent's q3 - q1.  ``regressed``: the
-change's median is worse than the parent's by more than the metric's
-``bound``, a fraction of the parent's median.
+Each end-to-end metric of ``BENCHMARK.json`` also gets three verdicts,
+read in the direction its ``better`` names.  ``claim_met``: the change is
+better in at least 9 of 10 pairs (ties count for neither side), and its
+median beats the parent's by more than the parent's q3 - q1.
+``regressed``: the change's median is worse than the parent's by more
+than the metric's ``bound``, a fraction of the parent's median.
+``unresolved``: the parent's q3 - q1 is wider than that bound, so the
+medians cannot tell a change within it, and not every run of the change
+beats every run of the parent.
 
 ``--workload north-star`` times the north star's own run instead:
 ``python3 -m riskfuse.cli --seed 11 --out <tmp> pipeline``, the default
@@ -89,17 +92,20 @@ def end_to_end_rules() -> dict:
 
 
 def verdicts(parent: list[float], change: list[float], rule: dict) -> dict:
-    """``claim_met`` and ``regressed`` of one metric's paired values under
-    its ``BENCHMARK.json`` rule; values are negated when higher is better."""
+    """``claim_met``, ``regressed`` and ``unresolved`` of one metric's
+    paired values under its ``BENCHMARK.json`` rule; values are negated
+    when higher is better."""
     sign = 1.0 if rule["better"] == "lower" else -1.0
     parent = [sign * v for v in parent]
     change = [sign * v for v in change]
     base, change_median = spread(parent), statistics.median(change)
     better_pairs = sum(c < p for p, c in zip(parent, change))
-    clear = change_median < base["median"] - (base["q3"] - base["q1"])
+    width = base["q3"] - base["q1"]
+    bound = rule["bound"] * abs(base["median"])
     return {
-        "claim_met": better_pairs >= 0.9 * len(parent) and clear,
-        "regressed": change_median > base["median"] + rule["bound"] * abs(base["median"]),
+        "claim_met": better_pairs >= 0.9 * len(parent) and change_median < base["median"] - width,
+        "regressed": change_median > base["median"] + bound,
+        "unresolved": width > bound and max(change) >= min(parent),
     }
 
 

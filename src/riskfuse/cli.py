@@ -25,10 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, _is_real, _scale_from_dict, load_config
+from .config import PipelineConfig, _scale_from_dict, load_config
 from .dataset import FeatureMapping, bundled_path, default_catalog, load_dataset
 from .dematel import aggregate_responses, evaluate as dematel_evaluate
-from .ecsa import BENCHMARKS, MAX_COUNT, EcsaConfig, classical_csa, optimize, random_search
+from .ecsa import (
+    BENCHMARKS, MAX_COUNT, EcsaConfig, classical_csa, is_real, optimize, random_search,
+)
 from .errors import DataError, NumericalError, RiskfuseError, read_json
 from .fuzzy import LinguisticScale
 from .pipeline import cross_validate, prepare_samples, run_pipeline
@@ -144,7 +146,7 @@ def _cmd_tune(args) -> int:
 
 def _if_cell(cell) -> list:
     """A JSON (mu, nu[, pi]) cell of finite numbers; pi defaults to 1 - mu - nu."""
-    if not (isinstance(cell, list) and len(cell) in (2, 3) and all(map(_is_real, cell))):
+    if not (isinstance(cell, list) and len(cell) in (2, 3) and all(map(is_real, cell))):
         raise ValueError(f"cell {cell!r} is not a list of 2 or 3 finite numbers")
     return cell if len(cell) == 3 else [*cell, 1.0 - cell[0] - cell[1]]
 
@@ -281,9 +283,6 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (RiskfuseError, OSError) as exc:
         if _numerical_cause(exc):
             print(f"numerical failure: {exc}", file=sys.stderr)

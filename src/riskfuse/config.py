@@ -8,15 +8,14 @@ mapping, and the TOPSIS criteria kinds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import DEFAULT_ORDINAL_VALUES, ORDINAL_LEVELS
-from .ecsa import EcsaConfig, check_count
+from .ecsa import EcsaConfig, check_count, is_real
 from .errors import DataError, read_json
 from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale
 from .topsis import CriterionKind
@@ -57,10 +56,10 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not _is_integer(value):
                 raise DataError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not _is_real(value):
+            if f.type == "float" and not is_real(value):
                 raise DataError(f"{f.name} must be a finite number, got {value!r}")
         levels = self.ordinal_values
-        if not (isinstance(levels, dict) and all(map(_is_real, levels.values()))):
+        if not (isinstance(levels, dict) and all(map(is_real, levels.values()))):
             raise DataError(f"ordinal_values must map levels to finite numbers, got {levels!r}")
         unknown = [key for key in levels if key not in ORDINAL_LEVELS]
         if unknown:
@@ -113,10 +112,6 @@ class PipelineConfig:
 
 def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _scale_from_dict(payload: dict) -> LinguisticScale:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,8 +79,10 @@ class EcsaConfig:
         check_count("max_iterations", self.max_iterations)
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 <= self.flight_length < math.inf):
-            raise DataError(f"flight_length must be finite and >= 0, got {self.flight_length}")
+        for name in ("flight_length", "ap_min", "ap_max"):
+            value = getattr(self, name)
+            if not (is_real(value) and value >= 0):
+                raise DataError(f"{name} must be a finite number >= 0, got {value!r}")
         if not (0.0 <= self.ap_min < self.ap_max <= 1.0):
             raise DataError(
                 f"need 0 <= ap_min < ap_max <= 1, got ({self.ap_min}, {self.ap_max})"
@@ -131,6 +133,11 @@ def check_count(name: str, value: int, least: int = 1) -> None:
     """``DataError`` unless the integer ``least <= value <= MAX_COUNT``."""
     if not least <= value <= MAX_COUNT:
         raise DataError(f"{name} must be in [{least}, {MAX_COUNT}], got {value}")
+
+
+def is_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -359,29 +366,21 @@ def _ecsa_move(config, rng, itr, positions, fitnesses, memories, best):
 def _csa_move(config, rng, itr, positions, fitnesses, memories, best):
     """Each crow picks a random crow to follow toward its memory, or,
     when that crow is aware (fixed probability ``ap_min``), relocates
-    uniformly.  The draws run per crow, in crow order; each move then
-    runs once over its crows."""
+    uniformly.  A move makes four generator calls, in this order: every
+    crow's target, one awareness draw per crow, the r of the following
+    crows and one (relocated, dim) block of uniform points, each in crow
+    order.  Each move then runs once over its crows; one clamp covers
+    both."""
     n, dim = positions.shape
-    lower, upper = config.lower, config.upper
-    random, integers = rng.random, rng.integers
-    local, targets, r, relocated, draws = [], [], [], [], []
-    for j in range(n):
-        target = integers(0, n)
-        if random() >= config.ap_min:
-            local.append(j)
-            targets.append(target)
-            r.append(random())
-        else:
-            relocated.append(j)
-            draws.append(random(dim))
+    targets = rng.integers(0, n, size=n)
+    aware = rng.random(n) < config.ap_min
+    local, relocated = np.flatnonzero(~aware), np.flatnonzero(aware)
+    step = config.flight_length * rng.random(len(local))
+    here = positions[local]
     moved = np.empty_like(positions)
-    if local:
-        here = positions[local]
-        step = config.flight_length * np.array(r)
-        moved[local] = here + step[:, None] * (memories[targets] - here)
-    if relocated:
-        moved[relocated] = lower + np.array(draws) * (upper - lower)
-    return _clamp(moved, lower, upper)
+    moved[local] = here + step[:, None] * (memories[targets[local]] - here)
+    moved[relocated] = _uniform(rng, (len(relocated), dim), config.lower, config.upper)
+    return _clamp(moved, config.lower, config.upper)
 
 
 def _random_move(config, rng, itr, positions, fitnesses, memories, best):

@@ -102,6 +102,25 @@ def test_regressed_past_bound(factor, better, regressed):
     assert bench_pairs.verdicts(PARENT, change, rule)["regressed"] is regressed
 
 
+# ecsa-search setup_s in BENCH_23.json: the parent's quartiles 0.195 and
+# 0.284 s are wider than the 0.25 bound of its 0.210 s median.
+WIDE_PARENT = [0.1928, 0.2157, 0.1875, 0.1936, 0.2010, 0.2046, 0.2897, 0.3021, 0.2671, 0.2987]
+
+
+@pytest.mark.parametrize(
+    "parent, change, regressed, unresolved",
+    [(WIDE_PARENT, [0.1918, 0.1922, 0.2563, 0.1829, 0.2795, 0.2739, 0.2906, 0.2740, 0.2987,
+                    0.2775], True, True),  # 5 pairs lower, 5 higher
+     (WIDE_PARENT, [0.9 * p for p in WIDE_PARENT], False, True),  # runs overlap
+     (WIDE_PARENT, [0.18 - 0.001 * k for k in range(10)], False, False),  # all below all
+     (PARENT, [1.2 * p for p in PARENT], False, False)],  # spread within the bound
+    ids=["bench23-setup", "overlapping", "every-run-better", "narrow-spread"],
+)
+def test_unresolved_when_spread_exceeds_bound(parent, change, regressed, unresolved):
+    verdict = bench_pairs.verdicts(parent, change, LOWER)
+    assert (verdict["regressed"], verdict["unresolved"]) == (regressed, unresolved)
+
+
 # Stand-ins for the north star's arguments: write a fixed report, or fail.
 WRITES_REPORT = ("-c", "import sys; open(sys.argv[1], 'w').write('report')", "{out}")
 FAILS = ("-c", "raise SystemExit(3)", "{out}")

@@ -8,6 +8,7 @@ from riskfuse.ecsa import (
     EcsaConfig,
     ObjectiveError,
     _clamp,
+    _csa_move,
     _ecsa_move,
     classical_csa,
     decay_coefficient,
@@ -72,6 +73,15 @@ class TestConfig:
     def test_bad_flight_length(self, flight_length):
         with pytest.raises(DataError, match="flight_length"):
             unit_config(flight_length=flight_length)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("flight_length", "2"), ("flight_length", True), ("flight_length", None),
+         ("ap_min", None), ("ap_min", "0.1"), ("ap_max", True), ("ap_max", math.nan)],
+    )
+    def test_constants_must_be_real(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be a finite number"):
+            unit_config(**{name: value})
 
     def test_fractional_population_size(self):
         with pytest.raises(DataError, match="population_size must be an integer"):
@@ -363,6 +373,16 @@ class _RecordingRng:
         return record
 
 
+def _assert_empty_draws_consume_nothing(rng, seed):
+    """A twin generator that skips the recorded empty draws ends in the
+    same state as the recording one."""
+    twin = np.random.default_rng(seed)
+    for name, args, kwargs, out in rng.calls:
+        if np.size(out):
+            getattr(twin, name)(*args, **kwargs)
+    assert twin.random() == rng.rng.random()
+
+
 class TestEcsaMoveDraws:
     @staticmethod
     def _move(config, rng, dim):
@@ -395,13 +415,7 @@ class TestEcsaMoveDraws:
             ("random", (local,)),
             ("random", (2, relocated, dim)),
         ]
-        # Empty draws consume nothing: a twin generator that skips them
-        # ends in the same state.
-        twin = np.random.default_rng(5)
-        for name, args, kwargs, out in rng.calls:
-            if np.size(out):
-                getattr(twin, name)(*args, **kwargs)
-        assert twin.random() == rng.rng.random()
+        _assert_empty_draws_consume_nothing(rng, 5)
 
     def test_relocation_share_follows_awareness(self):
         # Fixed before running: with 2,000 moves the binomial standard
@@ -418,6 +432,56 @@ class TestEcsaMoveDraws:
             # iteration.
             relocated += self._move(config, rng, dim=2)[:, 0] > 0.5
         assert relocated / moves == pytest.approx(config.awareness_by_rank, abs=tolerance)
+
+
+class TestCsaMoveDraws:
+    @pytest.mark.parametrize(
+        "population_size, ap_min, expected_relocated",
+        [(2, 0.1, None), (3, 0.1, None), (10, 0.1, None), (50, 0.1, None),
+         (10, 0.0, 0), (10, 1.0 - 1e-12, 10)],
+        ids=["2", "3", "10", "50", "none-relocated", "none-following"],
+    )
+    def test_four_calls_in_order(self, population_size, ap_min, expected_relocated):
+        n, dim = population_size, 4
+        config = unit_config(dim=dim, population_size=n, ap_min=ap_min, ap_max=1.0)
+        positions, memories = np.random.default_rng(6).random((2, n, dim))
+        rng = _RecordingRng(5)
+        moved = _csa_move(config, rng, 1, positions, None, memories, None)
+        targets, awareness, r, points = (out for _, _, _, out in rng.calls)
+        relocated = awareness < ap_min
+        if expected_relocated is not None:
+            assert relocated.sum() == expected_relocated
+        local = ~relocated
+        assert [(name, np.shape(out)) for name, _, _, out in rng.calls] == [
+            ("integers", (n,)),
+            ("random", (n,)),
+            ("random", (local.sum(),)),
+            ("random", (relocated.sum(), dim)),
+        ]
+        assert targets.max() < n
+        # The draws land in crow order: following crows step toward their
+        # targets' memories, relocated crows at their points in the unit box.
+        here = positions[local]
+        step = (config.flight_length * r)[:, None] * (memories[targets[local]] - here)
+        assert np.array_equal(moved[local], np.clip(here + step, 0.0, 1.0))
+        assert np.array_equal(moved[relocated], points)
+        _assert_empty_draws_consume_nothing(rng, 5)
+
+    def test_relocation_share_is_ap_min(self):
+        # Fixed before running: with 2,000 moves the binomial standard
+        # deviation of a share of 0.1 is 0.0067, so 0.03 is 4.5 of them,
+        # and a reversed comparison (share 0.9) misses by 0.8.
+        moves, tolerance = 2000, 0.03
+        config = unit_config(dim=2, population_size=10, flight_length=0.0)
+        rng = np.random.default_rng(29)
+        positions = np.zeros((10, 2))
+        relocated = np.zeros(10)
+        for _ in range(moves):
+            # Following crows of flight 0 stay at 0; relocated ones land
+            # inside the unit box.
+            moved = _csa_move(config, rng, 1, positions, None, positions, None)
+            relocated += moved[:, 0] > 0.0
+        assert relocated / moves == pytest.approx(np.full(10, config.ap_min), abs=tolerance)
 
 
 class TestBaselines:
@@ -447,14 +511,14 @@ class TestStreamPins:
     """Fixed-seed results of the three searches on a small sphere.
 
     ``RAW`` holds each search's best and history in raw objective values.
-    The parameters hold the CSA and random-search pins as first recorded,
-    when the objective was still called once per crow and the search
-    compared the weighted fitness 0.9 err + 0.1; each raw value equals
+    The parameters hold the random-search pins as first recorded, when
+    the objective was still called once per crow and the search compared
+    the weighted fitness 0.9 err + 0.1; each raw value equals
     (old - 0.1) / 0.9 up to the rounding of that conversion, so neither
-    the batch call nor dropping the weight moved their random stream or
-    any memory update.  ECSA's raw pin was recorded when its move began
-    drawing in five generator calls, which changed its stream on purpose,
-    so it has no weighted pin."""
+    the batch call nor dropping the weight moved its random stream or any
+    memory update.  The ECSA and CSA raw pins were recorded when their
+    moves began drawing in five and four generator calls, which changed
+    their streams on purpose, so they have no weighted pins."""
 
     CONFIG = dict(bounds=((-2.0, 2.0),) * 3, population_size=5, max_iterations=8, seed=42)
 
@@ -466,10 +530,10 @@ class TestStreamPins:
              0.2524867033674497, 0.25243843884186423, 0.2254597346362099),
         ),
         "classical_csa": (
-            0.10061576166304365,
-            (2.0491869547418506, 1.5438924830746468, 0.7882188051540184,
-             0.7882188051540184, 0.7882188051540184, 0.7042113119469285,
-             0.14193386546639114, 0.14193386546639114, 0.10061576166304365),
+            0.14372189777022337,
+            (2.0491869547418506, 1.6201579228873508, 0.3045320054246944,
+             0.3045320054246944, 0.21328451329965092, 0.21328451329965092,
+             0.21328451329965092, 0.14981262462242842, 0.14372189777022337),
         ),
         "random_search": (
             0.5352117828471736,
@@ -482,13 +546,7 @@ class TestStreamPins:
         "search, best, history",
         [
             (optimize, None, None),
-            (
-                classical_csa,
-                0.19055418549673925,
-                (1.9442682592676657, 1.4895032347671822, 0.8093969246386166,
-                 0.8093969246386166, 0.8093969246386166, 0.7337901807522357,
-                 0.22774047891975202, 0.22774047891975202, 0.19055418549673925),
-            ),
+            (classical_csa, None, None),
             (
                 random_search,
                 0.5816906045624562,
@@ -531,10 +589,9 @@ def _digest(result):
 
 
 class TestMovePins:
-    """Fixed-seed results, bit for bit.  The CSA pins were recorded while
-    every crow moved on its own, one draw and one clamp at a time: the
-    block CSA move keeps each draw in its place.  The ECSA pins were
-    recorded when its move began drawing in five generator calls.  The
+    """Fixed-seed results, bit for bit.  The CSA pins were recorded when
+    its move began drawing in four generator calls, and the ECSA pins
+    when its move began drawing in five.  The
     benchmark's search shape (100-D box [-5.12, 5.12], 10 crows, 30
     iterations) runs both ECSA moves many times; populations of 2 to 4
     crows have rings shorter than five."""
@@ -546,10 +603,10 @@ class TestMovePins:
              "eb9b2417906ecc839eada960d364b8a45157181bb1c38445f4d8a94b69b9babd"),
             (optimize, rastrigin, 1024.1237853176785,
              "e393b177637088c5a3eace0ca84602872ac5976d13ef441bbab104a2a0ee5c3f"),
-            (classical_csa, sphere, 87.32987378650127,
-             "b9a8edf61b88192b669b81cfc9c1e1552a6bee436a7590df17472c06a85e7de8"),
-            (classical_csa, rastrigin, 1030.9397997588644,
-             "b7d650d6263098e3489e47ba25436ddb78e843094ceed313fc86576b25215649"),
+            (classical_csa, sphere, 108.62650302161146,
+             "82e91b44e92aaee5b55da44eeab045c978a9625a6a547eadb200420a2da07bb8"),
+            (classical_csa, rastrigin, 1078.0785434694878,
+             "e1406465d2b350e9ae9688878125dd23968841525cfcdf9ea562d3d2e723e10f"),
         ],
     )
     def test_benchmark_shape(self, search, objective, best, digest):
