@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--function", choices=("sphere", "rastrigin", "both"), default="sphere")
     bench.add_argument("--runs", type=_count, default=20)
     bench.add_argument("--dimensions", type=_count, default=5)
-    bench.add_argument("--population", type=_count, default=10)
-    bench.add_argument("--iterations", type=_count, default=100)
+    bench.add_argument("--population", type=_count, default=EcsaConfig.population_size)
+    bench.add_argument("--iterations", type=_count, default=EcsaConfig.max_iterations)
     bench.set_defaults(func=_cmd_bench_ecsa)
     return parser
 

@@ -9,13 +9,12 @@ mapping, and the TOPSIS criteria kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import DEFAULT_ORDINAL_VALUES, ORDINAL_LEVELS
-from .ecsa import EcsaConfig, check_count, is_real
+from .ecsa import EcsaConfig, check_count, is_integer, is_real
 from .errors import DataError, read_json
 from .fuzzy import DEFAULT_DEMATEL_SCALE, LinguisticScale
 from .topsis import CriterionKind
@@ -23,6 +22,9 @@ from .topsis import CriterionKind
 # Coefficient search ranges for the parameter-scaling tuner.
 MAGNITUDE_DELTA = 1.0   # mode A: U in [10^-delta, 10^+delta], signs preserved
 SIGNED_LIMIT = 10.0     # mode B: U in [-M, +M]
+
+# The crow-search constants, the fields PipelineConfig shares with EcsaConfig.
+_SEARCH_FIELDS = tuple(f.name for f in fields(EcsaConfig) if f.name != "bounds")
 
 
 @dataclass(frozen=True)
@@ -33,13 +35,13 @@ class PipelineConfig:
     cluster_radius: float = 0.5
     split_fraction: float = 0.7
     cv_folds: int = 3
-    seed: int = 0
-    # Crow-search constants (reference protocol defaults).
-    population_size: int = 10
-    max_iterations: int = 100
-    flight_length: float = 2.0
-    ap_min: float = 0.1
-    ap_max: float = 0.8
+    # Crow-search constants: defaults and checks come from EcsaConfig.
+    seed: int = EcsaConfig.seed
+    population_size: int = EcsaConfig.population_size
+    max_iterations: int = EcsaConfig.max_iterations
+    flight_length: float = EcsaConfig.flight_length
+    ap_min: float = EcsaConfig.ap_min
+    ap_max: float = EcsaConfig.ap_max
     runs: int = 20
     coefficient_mode: str = "magnitude"
     # Dataset mapping.
@@ -54,7 +56,9 @@ class PipelineConfig:
     def __post_init__(self):
         for f in fields(self):  # annotations are strings under postponed evaluation
             value = getattr(self, f.name)
-            if f.type == "int" and not _is_integer(value):
+            if f.name in _SEARCH_FIELDS:
+                continue
+            if f.type == "int" and not is_integer(value):
                 raise DataError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not is_real(value):
                 raise DataError(f"{f.name} must be a finite number, got {value!r}")
@@ -91,12 +95,10 @@ class PipelineConfig:
         return (-SIGNED_LIMIT, SIGNED_LIMIT)
 
     def ecsa_config(self, dim: int) -> EcsaConfig:
-        """The crow-search constants, which share ``EcsaConfig``'s field
-        names, over a ``dim``-dimensional coefficient box."""
-        shared = [f.name for f in fields(EcsaConfig) if f.name != "bounds"]
+        """The crow-search constants over a ``dim``-dimensional coefficient box."""
         return EcsaConfig(
             bounds=np.full((dim, 2), self.coefficient_bounds()),
-            **{k: getattr(self, k) for k in shared},
+            **{k: getattr(self, k) for k in _SEARCH_FIELDS},
         )
 
     def kinds_for(self, n_criteria: int) -> tuple[CriterionKind, ...]:
@@ -108,10 +110,6 @@ class PipelineConfig:
                 f"for {n_criteria} criteria"
             )
         return self.criteria_kinds
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _scale_from_dict(payload: dict) -> LinguisticScale:

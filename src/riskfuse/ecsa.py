@@ -73,7 +73,7 @@ class EcsaConfig:
     def __post_init__(self):
         for name in ("population_size", "max_iterations", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
+            if not is_integer(value):
                 raise DataError(f"{name} must be an integer, got {value!r}")
         check_count("population_size", self.population_size, least=2)
         check_count("max_iterations", self.max_iterations)
@@ -135,6 +135,11 @@ def check_count(name: str, value: int, least: int = 1) -> None:
         raise DataError(f"{name} must be in [{least}, {MAX_COUNT}], got {value}")
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def is_real(value) -> bool:
     """True for a finite real number that is not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
@@ -192,7 +197,7 @@ def reshuffle_neighborhoods(n: int, rng: np.random.Generator) -> np.ndarray:
     in ring order, each once (so a ring of fewer than 5 crows gives each
     crow all of them).
     """
-    if not isinstance(n, Integral) or n < 1:
+    if not (is_integer(n) and n >= 1):
         raise DataError(f"need a whole number of crows >= 1, got {n!r}")
     order = rng.permutation(n)
     slots = _ring_slots(n)

@@ -147,7 +147,7 @@ def tune_anfis_with_ecsa(
     vector is injected into every initial population, so no run ends
     above the base premises' score, ``base_train_rmse``.  Each run keeps
     its best candidate's model; the winner across runs is picked by test
-    RMSE.
+    RMSE.  A run's ``best_fitness`` is its model's training RMSE.
     """
     if base_model is None:
         base_model = anfis.init_fis(train, config.cluster_radius)
@@ -173,9 +173,7 @@ def tune_anfis_with_ecsa(
                 "run": run_index,
                 "seed": int(run_seed),
                 "best_fitness": result.best_fitness,
-                "train_rmse": anfis.rmse(candidate, train),
                 "test_rmse": anfis.rmse(candidate, test),
-                "evaluations": result.metadata["evaluations"],
             }
         )
 
@@ -185,7 +183,7 @@ def tune_anfis_with_ecsa(
         model=model,
         coefficients=coefficients,
         base_train_rmse=float(objective(identity[None])[0]),
-        train_rmse=run_stats[winner]["train_rmse"],
+        train_rmse=run_stats[winner]["best_fitness"],
         test_rmse=run_stats[winner]["test_rmse"],
         test_mape=anfis.mape(model, test),
         run_stats=run_stats,
@@ -378,7 +376,6 @@ def run_pipeline(
         "heldout_mape": heldout_mape,
         "run_stats": best_tuning.run_stats,
         "ties": ties,
-        "model_diagnostics": list(model.diagnostics),
     }
     return RiskReport(
         criteria=criteria,

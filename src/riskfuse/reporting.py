@@ -21,14 +21,6 @@ def report_to_json(report: RiskReport) -> str:
     return json.dumps(report.to_dict(), indent=2)
 
 
-def report_from_json(text: str) -> RiskReport:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid report JSON: {exc}") from exc
-    return RiskReport.from_dict(payload)
-
-
 def _csv_paths(path: Path) -> dict[str, Path]:
     stem = path.with_suffix("")
     return {
@@ -76,7 +68,7 @@ def emit_report(report: RiskReport, format: str, path: str | Path) -> list[Path]
                     for i, c in enumerate(report.criteria)
                 ],
             )
-            columns = ["run", "seed", "best_fitness", "train_rmse", "test_rmse", "evaluations"]
+            columns = ["run", "seed", "best_fitness", "test_rmse"]
             _write_csv(
                 paths["runs"],
                 columns,

@@ -303,12 +303,7 @@ class TestFeatureMapping:
 
 class TestConfig:
     def test_bundled_default_config_loads(self):
-        config = load_config(bundled_path("default_config.json"))
-        assert config.runs == 20
-        assert config.population_size == 10
-        assert config.max_iterations == 100
-        assert config.flight_length == 2.0
-        assert (config.ap_min, config.ap_max) == (0.1, 0.8)
+        assert load_config(bundled_path("default_config.json")) == PipelineConfig()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(DataError, match="typo_key"):
@@ -383,6 +378,8 @@ class TestConfig:
             {"runs": 3.0},
             {"seed": True},
             {"ap_min": "a"},
+            {"max_iterations": 5.0},
+            {"flight_length": "x"},
             {"cluster_radius": float("nan")},
             {"ordinal_values": {"low": "a"}},
             {"ordinal_values": "x"},

@@ -120,7 +120,9 @@ class TestTuning:
         assert len(tuning.coefficients) == 3 * base.n_rules * base.input_dim
         assert tuning.train_rmse <= tuning.base_train_rmse
         winner = min(tuning.run_stats, key=lambda run: run["test_rmse"])
-        assert (tuning.train_rmse, tuning.test_rmse) == (winner["train_rmse"], winner["test_rmse"])
+        assert (tuning.train_rmse, tuning.test_rmse) == (winner["best_fitness"], winner["test_rmse"])
+        # A run's best fitness is its model's training RMSE.
+        assert abs(winner["best_fitness"] - rmse(tuning.model, fold)) <= 1e-12
         # The winner is the run's ridge-fitted model, not a refit of it,
         # and carries no note of the base model's least-squares fit.
         refit = fit_consequents_ridge(apply_parameter_scaling(base, tuning.coefficients), fold)
@@ -299,9 +301,9 @@ class TestGoldenReport:
         "payload, digest",
         [
             ({"runs": 1},
-             "90f1183e86392206fcbede8905c4cf41eaf7636884e9eb5890bb07090fe9b1dd"),
+             "ddcaf1e2ae13c14f1a2b4aa1b1f96e2879fcd259ca9e2d3c6c990d26e3c33b4c"),
             ({"anfis_inputs": "codes", "runs": 1, "max_iterations": 6},
-             "5761d6bdbffb14985041c52c2404419eb3a8e182d35d1f4bec519e08d22d2dd0"),
+             "c2f27abca4242fd42c691b029f6955bd22b167364c41a76151bc5c3a11323ef5"),
         ],
         ids=["groups", "codes"],
     )
