@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ MIN_SHAPE_PARAM = 1e-6
 RIDGE = 1e-2
 
 Levels = tuple[np.ndarray, np.ndarray, np.ndarray]  # see ``_input_levels``
+# (input, target) pairs, or the stacked ``(x, y)``; see ``_stack_samples``.
+Samples = Sequence[tuple[np.ndarray, float]] | tuple[np.ndarray, np.ndarray]
 
 
 def bell_membership(u, m, l, k):
@@ -209,15 +211,21 @@ def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
     if radius <= 0.0:
         raise DataError(f"radius must be positive, got {radius}")
 
-    alpha = 4.0 / radius**2
-    beta = 4.0 / (SQUASH_FACTOR * radius) ** 2
+    try:
+        alpha, beta = 4.0 / radius**2, 4.0 / (SQUASH_FACTOR * radius) ** 2
+    except (ZeroDivisionError, OverflowError):
+        alpha = beta = math.inf
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise DataError(f"radius {radius} gives no finite positive neighborhood scale")
     sq_dists = ((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
-    potential = np.exp(-alpha * sq_dists).sum(axis=1)
+    with np.errstate(over="ignore"):  # a far pair's -inf exponent gives its limit, 0
+        potential = np.exp(-alpha * sq_dists).sum(axis=1)
+        reduction = np.exp(-beta * sq_dists)
 
     first = int(np.argmax(potential))
     first_potential = potential[first]
     centers = [first]
-    potential = potential - first_potential * np.exp(-beta * sq_dists[first])
+    potential = potential - first_potential * reduction[first]
 
     while True:
         candidate = int(np.argmax(potential))
@@ -232,7 +240,7 @@ def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
             accept = d_min / radius + p / first_potential >= 1.0
         if accept:
             centers.append(candidate)
-            potential = potential - p * np.exp(-beta * sq_dists[candidate])
+            potential = potential - p * reduction[candidate]
         else:
             potential[candidate] = 0.0
             if np.all(potential <= 0.0):
@@ -240,21 +248,24 @@ def subtractive_clustering(data: np.ndarray, radius: float) -> np.ndarray:
     return data[centers]
 
 
-def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Sample inputs (scalars or vectors) as an (n, d) matrix, plus the
-    targets as a vector; ``DataError`` unless every input is a vector of
-    one shared length and every input and target a finite number."""
+def _stack_samples(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
+    """Samples as an (n, d) input matrix plus the target vector, from
+    (input, target) pairs with scalar or vector inputs or from a stacked
+    ``(x, y)`` tuple with a 2-D array x; ``DataError`` unless the inputs
+    are vectors of one length, one target each, and every value is finite."""
+    first = samples[0] if isinstance(samples, tuple) and len(samples) == 2 else None
     try:
-        x = np.array([inp for inp, _ in samples], dtype=float)
-        y = np.array([target for _, target in samples], dtype=float)
+        if not (isinstance(first, np.ndarray) and first.ndim == 2):
+            samples = [inp for inp, _ in samples], [target for _, target in samples]
+        x, y = np.asarray(samples[0], dtype=float), np.asarray(samples[1], dtype=float)
     except (TypeError, ValueError) as exc:  # ValueError: ragged or non-numeric
         raise DataError(f"samples must be numeric (input, target) pairs: {exc}") from exc
-    if len(y) == 0:
-        raise DataError("samples must hold at least one (input, target) pair")
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or y.ndim != 1:
-        raise DataError("sample inputs must be vectors of one length, and targets scalars")
+    if x.ndim != 2 or y.shape != (len(x),):
+        raise DataError("sample inputs must be vectors of one length, one scalar target each")
+    if len(y) == 0:
+        raise DataError("samples must hold at least one (input, target) pair")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("sample inputs and targets must be finite numbers")
     return x, y
@@ -270,9 +281,7 @@ def _data_spans(x: np.ndarray) -> np.ndarray:
     return np.column_stack([lo, hi])
 
 
-def init_fis(
-    train: list[tuple[np.ndarray, float]], radius: float
-) -> AnfisModel:
+def init_fis(train: Samples, radius: float) -> AnfisModel:
     """The rule base of a Sugeno model, by subtractive clustering of the
     training inputs.
 
@@ -309,9 +318,7 @@ def _design_t(wbar: np.ndarray, augmented: np.ndarray) -> np.ndarray:
     return design_t.reshape(wbar.shape[:-2] + (-1, wbar.shape[-1]))
 
 
-def fit_consequents_least_squares(
-    model: AnfisModel, train: list[tuple[np.ndarray, float]]
-) -> AnfisModel:
+def fit_consequents_least_squares(model: AnfisModel, train: Samples) -> AnfisModel:
     """Refit all rule consequents by (minimum-norm) linear least squares.
 
     Premises stay fixed, so the model output is linear in the consequent
@@ -366,9 +373,7 @@ def _ridge_fit(
     return theta.reshape(wbar.shape[:-2] + (rules, -1)), train_rmse, dead
 
 
-def fit_consequents_ridge(
-    model: AnfisModel, train: list[tuple[np.ndarray, float]]
-) -> AnfisModel:
+def fit_consequents_ridge(model: AnfisModel, train: Samples) -> AnfisModel:
     """Refit all rule consequents by ridge regression at fixed premises.
 
     Minimizes the squared training error plus ``RIDGE * n`` times the
@@ -383,9 +388,7 @@ def fit_consequents_ridge(
     return replace(model, consequents=consequents)
 
 
-def scaling_objective(
-    model0: AnfisModel, train: list[tuple[np.ndarray, float]]
-) -> Callable[[np.ndarray], np.ndarray]:
+def scaling_objective(model0: AnfisModel, train: Samples) -> Callable[[np.ndarray], np.ndarray]:
     """Batch search objective over premise-scaling coefficients.
 
     Takes a (candidates, n_parameters) array and returns per row the
@@ -413,13 +416,13 @@ def scaling_objective(
     return objective
 
 
-def rmse(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
+def rmse(model: AnfisModel, dataset: Samples) -> float:
     """Root mean squared prediction error over a dataset."""
     x, y = _stack_samples(dataset)
     return float(np.sqrt(np.mean((forward_batch(model, x) - y) ** 2)))
 
 
-def mape(model: AnfisModel, dataset: list[tuple[np.ndarray, float]]) -> float:
+def mape(model: AnfisModel, dataset: Samples) -> float:
     """Mean absolute percentage error; every target must be nonzero."""
     x, y = _stack_samples(dataset)
     if np.any(y == 0.0):

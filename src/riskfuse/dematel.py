@@ -41,10 +41,12 @@ class DematelResult:
 
 def _direct_matrix(s) -> np.ndarray:
     """``s`` as a float array, checked to be a square direct-relation
-    matrix with a zero diagonal and nonnegative entries."""
+    matrix of finite numbers with a zero diagonal and nonnegative entries."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or not len(s):
         raise DataError(f"direct-relation matrix must be square (n >= 1), got {s.shape}")
+    if not np.isfinite(s).all():
+        raise DataError("direct-relation matrix entries must be finite numbers")
     if np.any(np.diag(s) != 0.0):
         raise DataError("direct-relation matrix must have a zero diagonal")
     if np.any(s < 0.0):

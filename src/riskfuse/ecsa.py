@@ -150,7 +150,8 @@ class OptimizationResult:
     """Best solution of a run plus its per-iteration best-fitness trace.
 
     A fitness is the objective value the search compares: the raw value,
-    with NaN scored as +inf."""
+    with NaN scored as +inf.  The run's seed, iterations and evaluation
+    budget are on its ``EcsaConfig``, not repeated in ``metadata``."""
 
     best_position: np.ndarray
     best_fitness: float
@@ -330,12 +331,7 @@ def _search(
         best_position=memories[best].copy(),
         best_fitness=float(memory_fits[best]),
         fitness_history=tuple(history),
-        metadata={
-            "seed": config.seed,
-            "iterations_executed": config.max_iterations,
-            "evaluations": config.evaluation_budget,
-            "best_objective": float(memory_fits[best]),
-        },
+        metadata={"best_objective": float(memory_fits[best])},
     )
 
 

@@ -146,17 +146,20 @@ def cfcs_defuzzify(judgments: ArrayLike) -> np.ndarray:
         raise DataError("cfcs_defuzzify requires at least one judgment per cell")
     lo = tfns[..., 0].min(axis=0)
     hi = tfns[..., 2].max(axis=0)
-    span = hi - lo
-    # A zero span means every judgment is the same degenerate TFN; it is
-    # already crisp.
-    constant = span == 0.0
-    span = np.where(constant, 1.0, span)
-    xl, xm, xu = ((tfns[..., k] - lo) / span for k in range(3))
-    left = xm / (1.0 + xm - xl)
-    right = xu / (1.0 + xu - xm)
-    total = (left * (1.0 - left) + right * right) / (1.0 - left + right)
-    crisp = (lo + total * span).sum(axis=0) / len(tfns)
-    return np.where(constant, tfns[0, ..., 1], crisp)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        span = hi - lo
+        # A zero span means every judgment is the same degenerate TFN; it
+        # is already crisp.
+        constant = span == 0.0
+        span = np.where(constant, 1.0, span)
+        xl, xm, xu = ((tfns[..., k] - lo) / span for k in range(3))
+        left = xm / (1.0 + xm - xl)
+        right = xu / (1.0 + xu - xm)
+        total = (left * (1.0 - left) + right * right) / (1.0 - left + right)
+        crisp = np.where(constant, tfns[0, ..., 1], (lo + total * span).sum(axis=0) / len(tfns))
+    if not np.isfinite(crisp).all():
+        raise DataError("judgments out of range: their CFCS scores overflow the float range")
+    return crisp
 
 
 def check_ifv(cells: ArrayLike) -> np.ndarray:

@@ -30,8 +30,6 @@ from .fuzzy import lift_crisp
 
 P_OUT_TOL = 1e-9
 
-Sample = tuple[np.ndarray, float]
-
 
 @dataclass(frozen=True)
 class RiskReport:
@@ -86,7 +84,7 @@ def _stage(name: str):
         raise PipelineError(name, str(exc)) from exc
 
 
-def split_train_test(records: list, fraction: float, seed: int) -> tuple[list, list]:
+def split_train_test(records: Sequence, fraction: float, seed: int) -> tuple[list, list]:
     """Seeded shuffle then split; the training part takes
     floor(n * fraction) records and the partition is exact."""
     if not records:
@@ -100,7 +98,7 @@ def split_train_test(records: list, fraction: float, seed: int) -> tuple[list, l
     return train, test
 
 
-def cv_folds(records: list, k: int, seed: int) -> list[tuple[list, list]]:
+def cv_folds(records: Sequence, k: int, seed: int) -> list[tuple[list, list]]:
     """Seeded k-fold rotation: k (train, test) pairs with fold sizes
     differing by at most one."""
     if k < 2:
@@ -131,8 +129,8 @@ class TuningResult:
 
 
 def tune_anfis_with_ecsa(
-    train: list[Sample],
-    test: list[Sample],
+    train: anfis.Samples,
+    test: anfis.Samples,
     config: PipelineConfig,
     base_model: anfis.AnfisModel | None = None,
 ) -> TuningResult:
@@ -149,6 +147,7 @@ def tune_anfis_with_ecsa(
     its best candidate's model; the winner across runs is picked by test
     RMSE.  A run's ``best_fitness`` is its model's training RMSE.
     """
+    train, test = anfis._stack_samples(train), anfis._stack_samples(test)
     if base_model is None:
         base_model = anfis.init_fis(train, config.cluster_radius)
     # The tuned models replace the base consequents, so they carry none of
@@ -192,35 +191,37 @@ def tune_anfis_with_ecsa(
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """The tuning protocol's artifacts: the seeds it derived, the
-    train/test split, the folds of the training part, and one tuning
-    result per fold."""
+    """The tuning protocol's artifacts: the seeds it derived, the sample
+    row indices of the train/test split and of the folds of the training
+    part, and one tuning result per fold."""
 
     stage_seeds: dict[str, int]
-    train: list[Sample]
-    test: list[Sample]
-    folds: list[tuple[list[Sample], list[Sample]]]
+    train: list[int]
+    test: list[int]
+    folds: list[tuple[list[int], list[int]]]
     tunings: list[TuningResult]
 
 
-def cross_validate(samples: list[Sample], config: PipelineConfig) -> CrossValidation:
+def cross_validate(samples: anfis.Samples, config: PipelineConfig) -> CrossValidation:
     """Run the tuning protocol on the samples.
 
-    Derives the split, fold and tuning seeds from ``config.seed``, splits
-    the samples, cuts the training part into folds, and tunes one model
-    per fold (fold i searches with the tuning seed plus i).  Split
-    failures raise :class:`PipelineError` for stage ``split``, tuning
-    failures for stage ``tuning``.
+    Derives the split, fold and tuning seeds from ``config.seed``, stacks
+    the samples once, splits their row indices, cuts the training part
+    into folds, and tunes one model per fold on its rows (fold i searches
+    with the tuning seed plus i).  Split failures raise
+    :class:`PipelineError` for stage ``split``, tuning failures for stage
+    ``tuning``.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(4)
     split_seed, cv_seed, tune_seed = (int(s) for s in seeds[:3])
     with _stage("split"):
-        train, test = split_train_test(samples, config.split_fraction, split_seed)
+        x, y = anfis._stack_samples(samples)
+        train, test = split_train_test(range(len(y)), config.split_fraction, split_seed)
         folds = cv_folds(train, config.cv_folds, cv_seed)
     with _stage("tuning"):
         tunings = [
-            tune_anfis_with_ecsa(fold_train, fold_test, replace(config, seed=tune_seed + i))
-            for i, (fold_train, fold_test) in enumerate(folds)
+            tune_anfis_with_ecsa((x[tr], y[tr]), (x[te], y[te]), replace(config, seed=tune_seed + i))
+            for i, (tr, te) in enumerate(folds)
         ]
     return CrossValidation(
         stage_seeds={"split": split_seed, "cv": cv_seed, "tuning": tune_seed},
@@ -252,7 +253,7 @@ def prepare_samples(
     catalog: CriteriaCatalog,
     mapping: FeatureMapping,
     mode: str,
-) -> tuple[list[Sample], np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[np.ndarray, float]], np.ndarray, np.ndarray]:
     """Turn records into (features, target) samples plus the full feature
     matrix and a (groups, features) mask of the columns each criterion
     group owns.
@@ -309,9 +310,10 @@ def run_pipeline(
         samples, features, owned = prepare_samples(
             records, catalog, mapping, config.anfis_inputs
         )
+        x, y = anfis._stack_samples(samples)
 
     # Protocol: split, per-fold tuning, winner by fold-test error.
-    cv = cross_validate(samples, config)
+    cv = cross_validate((x, y), config)
     fold_metrics = [
         {
             "fold": fold_index,
@@ -327,8 +329,9 @@ def run_pipeline(
     best_tuning = min(cv.tunings, key=lambda tuning: tuning.test_rmse)
     model = best_tuning.model
     with _stage("tuning"):
-        heldout_rmse = anfis.rmse(model, cv.test)
-        heldout_mape = anfis.mape(model, cv.test)
+        heldout = (x[cv.test], y[cv.test])
+        heldout_rmse = anfis.rmse(model, heldout)
+        heldout_mape = anfis.mape(model, heldout)
 
     # Potential scores per risk factor.
     with _stage("scores"):

@@ -289,6 +289,20 @@ class TestSubtractiveClustering:
         with pytest.raises(DataError):
             subtractive_clustering(np.array([[0.1]]), radius=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1e-300, 1e-160, 1e160, float("nan")])
+    def test_radius_without_finite_scale_rejected(self, rng, radius):
+        with pytest.raises(DataError, match="neighborhood scale"):
+            subtractive_clustering(rng.uniform(0.0, 1.0, size=(5, 2)), radius)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_radius_keeps_every_point(self):
+        """Near the smallest usable radius, far pairs' exponents overflow
+        to -inf and their potentials to 0, silently: each point is its own
+        cluster."""
+        data = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.3, 0.2]])
+        assert np.array_equal(subtractive_clustering(data, radius=1.5e-154), data)
+
 
 class TestInitFis:
     def test_rule_base_only(self, rng):
@@ -431,6 +445,10 @@ BAD_SAMPLES = {
     "nan-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), float("nan"))],
     "inf-target": [(np.array([0.1, 0.2]), 1.0), (np.array([0.3, 0.4]), float("inf"))],
     "empty": [],
+    "stacked-length-mismatch": (np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1.0])),
+    "stacked-matrix-target": (np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[1.0], [2.0]])),
+    "stacked-inf-input": (np.array([[0.1, 0.2], [np.inf, 0.4]]), np.array([1.0, 2.0])),
+    "stacked-nan-target": (np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1.0, np.nan])),
 }
 
 ENTRY_POINTS = {
@@ -443,9 +461,21 @@ ENTRY_POINTS = {
 }
 
 
+def _outcome(result, n_parameters: int):
+    """The bits of an entry point's result: a model's arrays and notes,
+    an objective's scores at fixed coefficients, or a metric's value."""
+    if isinstance(result, AnfisModel):
+        arrays = (result.premises, result.consequents, result.input_normalization)
+        return [a.tobytes() for a in arrays], result.diagnostics
+    if callable(result):
+        result = result(np.linspace(0.8, 1.2, 3 * n_parameters).reshape(3, -1))
+    return np.asarray(result).tobytes()
+
+
 class TestSampleBoundary:
-    """Every entry point that takes (input, target) samples rejects a
-    malformed list with ``DataError``."""
+    """Every entry point that takes (input, target) samples, as pairs or
+    as the stacked ``(x, y)``, rejects malformed samples with
+    ``DataError``, and reads both forms alike."""
 
     @pytest.mark.parametrize("samples", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
     @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
@@ -458,6 +488,26 @@ class TestSampleBoundary:
         scalars = [(0.25, 1.0), (0.75, 2.0)]
         vectors = [(np.array([u]), y) for u, y in scalars]
         assert rmse(model, scalars) == rmse(model, vectors)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_stacked_matches_pairs(self, rng, entry):
+        model = random_model(rng, dim=2, n_rules=2)
+        x = rng.uniform(0.0, 1.0, size=(12, 2))
+        y = rng.uniform(1.0, 2.0, size=12)
+        pairs = list(zip(x, y.tolist()))
+        expected = _outcome(entry(model, pairs), model.n_parameters)
+        assert _outcome(entry(model, (x, y)), model.n_parameters) == expected
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_two_pairs_in_any_container_read_as_pairs(self, rng, entry):
+        """A 2-tuple is stacked only when its first item is a 2-D array:
+        two pairs as a tuple, or as 1-D [input, target] arrays, stay pairs."""
+        model = random_model(rng, dim=1, n_rules=2)
+        pairs = [(0.25, 1.0), (0.75, 2.0)]
+        rows = [np.array(pair) for pair in pairs]
+        expected = _outcome(entry(model, pairs), model.n_parameters)
+        for form in (tuple(pairs), tuple(rows), rows, np.array(pairs)):
+            assert _outcome(entry(model, form), model.n_parameters) == expected
 
 
 class TestParameterScaling:

@@ -84,6 +84,8 @@ def test_traced_pipeline_unit(tmp_path):
         _run_harness(PIPELINE_SCRIPT, str(tmp_path / "report.json"), str(tmp_path / "trace.jsonl"))
     )
     assert summary["coverage"] >= 0.9
-    for name in ("ecsa.optimize", "anfis.init_fis", "dematel.evaluate", "topsis.evaluate",
-                 "reporting.emit_report"):
+    for name in ("ecsa.optimize", "anfis.init_fis", "anfis.rmse", "anfis.mape",
+                 "dematel.evaluate", "topsis.evaluate", "reporting.emit_report",
+                 "pipeline.prepare_samples", "pipeline.split_train_test", "pipeline.cv_folds",
+                 "pipeline.tune_anfis_with_ecsa"):
         assert summary["calls"].get(name, 0) >= 1, name

@@ -81,6 +81,15 @@ class TestWeightsCommand:
         assert cli_main(["weights", "--matrices", str(path)]) == 2
         assert "criteria must be a list of 2 strings" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_judgments_are_data_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"respondents": [[[0, -1e308], [1e308, 0]], [[0, 1e308], [1e308, 0]]]}
+        ))
+        assert cli_main(["weights", "--matrices", str(path)]) == 2
+        assert "overflow the float range" in capsys.readouterr().err
+
 
 _TINY_SCALE = {"name": "tiny", "labels": ["lo", "hi"], "tfns": [[0, 0, 0.5], [0.5, 1, 1]]}
 # Same labels, other TFNs: weights read through it differ from the tiny scale's.
@@ -458,6 +467,14 @@ class TestExitCodes:
         path.write_text(json.dumps({"ordinal_values": {"nominal": 0.4}}))
         assert cli_main(["--config", str(path)] + command) == 2
         assert "no mapped value for ordinal level 'low'" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1e-300, 1e-160, 1e160])
+    def test_radius_without_finite_scale_is_data_error(self, radius, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"cluster_radius": radius, "runs": 1, "max_iterations": 2}))
+        assert cli_main(["--config", str(path), "--seed", "11", "pipeline"]) == 2
+        assert "neighborhood scale" in capsys.readouterr().err
 
     def test_wrong_config_type_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -66,8 +66,9 @@ def neumann_series(q, tol=1e-9, max_terms=10_000):
     [([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], "must be square"),
      (np.zeros((0, 0)), "must be square"),
      ([[1.0, 1.0], [1.0, 0.0]], "zero diagonal"),
-     ([[0.0, -1.0], [1.0, 0.0]], "nonnegative")],
-    ids=["not-square", "empty", "diagonal", "negative"],
+     ([[0.0, -1.0], [1.0, 0.0]], "nonnegative"),
+     ([[0.0, np.nan], [np.inf, 0.0]], "finite")],
+    ids=["not-square", "empty", "diagonal", "negative", "non-finite"],
 )
 @pytest.mark.parametrize("chain", [evaluate, normalize_direct_matrix], ids=lambda f: f.__name__)
 def test_rejects_malformed_direct_matrix(chain, entries, message):

@@ -113,6 +113,16 @@ class TestCfcsDefuzzify:
         with pytest.raises(DataError):
             cfcs_defuzzify([])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "judgments",
+        [[(-1e308, -1e308, -1e308), (1e308, 1e308, 1e308)], [(1e308,) * 3, (1.5e308,) * 3]],
+        ids=["span", "sum"],
+    )
+    def test_overflow_rejected(self, judgments):
+        with pytest.raises(DataError, match="overflow"):
+            cfcs_defuzzify(judgments)
+
     @given(st.lists(valid_tfns(), min_size=1, max_size=6))
     def test_result_within_support(self, judgments):
         crisp = cfcs_defuzzify(judgments)
