@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,18 +42,22 @@ def bell_membership(u, m, l, k):
     |z|^(2k) to inf, which cleanly underflows the membership to zero;
     that is the intended limit behavior.
     """
-    return _bell(u, np.array(np.broadcast_arrays(u, m, l, k)[1:], dtype=float))[()]
+    block = np.array(np.broadcast_arrays(u, m, l, k)[1:], dtype=float)
+    return _bell(u, (block[i, ...] for i in range(3)))[()]  # views, also when 0-d
 
 
-def _bell(u, block: np.ndarray) -> np.ndarray:
-    """``bell_membership`` of u under the (m, l, k) on the first axis of
-    a float block, computed in place: overwrites the block and returns
-    its m slot.  The formula's operations in its order, so its bits."""
-    z, l, k = block[0, ...], block[1, ...], block[2, ...]  # views, also when 0-d
+def _bell(u, planes: Iterator[np.ndarray]) -> np.ndarray:
+    """``bell_membership`` of u under the float m, l and k arrays that
+    ``planes`` yields, in that order, each only when the formula reaches
+    it: so a generator that builds them holds at most two at once.
+    Computes in place in the m and k arrays and returns the m one.  The
+    formula's operations in its order, so its bits."""
+    z = next(planes)
     with np.errstate(over="ignore"):
         np.subtract(u, z, out=z)
-        z /= l
+        z /= next(planes)
         np.abs(z, out=z)
+        k = next(planes)
         k *= 2.0
         z **= k
         z += 1.0
@@ -91,6 +95,8 @@ class AnfisModel:
                 f"consequents {self.consequents.shape} and spans {norm.shape} do not "
                 f"fit {r} rules of {d} inputs"
             )
+        if not all(np.isfinite(a).all() for a in (premises, self.consequents, norm)):
+            raise DataError("premises, consequents and spans must be finite numbers")
         if np.any(norm[:, 1] - norm[:, 0] <= 0.0):
             raise DataError("normalization spans must be positive")
         if np.any(premises[..., 1:] <= 0.0):
@@ -137,15 +143,21 @@ def _membership_matrix(premises: np.ndarray, levels: Levels) -> np.ndarray:
     """Firing strengths of the (..., rules, inputs, 3) premises for the
     rows whose ``_input_levels`` are given: shape (..., n_rules,
     n_samples), over any leading candidate axes.  One in-place bell pass
-    covers every input's levels; their memberships are gathered back to
-    the rows and multiplied in one input at a time, in input order."""
+    runs over the m, l and k planes of the premises, (inputs, ...,
+    rules) each and contiguous from ``_scaled_premises``, each repeated
+    over every input's levels as the pass reaches it; whole rows of the
+    result are gathered and multiplied in input order.  The (rows, ...,
+    rules) product is returned as a (..., rules, rows) view: stored
+    rows-outermost, which sets the order, so the bits, of every later
+    sum over it."""
     values, counts, where = levels
-    block = np.repeat(np.moveaxis(premises, -1, 0), counts, axis=-1)  # (3, ..., R, levels)
-    bell = _bell(values, block)
-    w = bell[..., where[0]]
+    planes = premises.transpose(-1, -2, *range(premises.ndim - 3), -3)
+    u = values.reshape(values.shape + (1,) * (planes.ndim - 2))
+    bell = _bell(u, (np.repeat(plane, counts, axis=0) for plane in planes))
+    w = bell.take(where[0], axis=0)
     for index in where[1:]:
-        w *= bell[..., index]
-    return w
+        w *= bell.take(index, axis=0)
+    return w.transpose((*range(1, w.ndim), 0))
 
 
 def _strengths(premises: np.ndarray, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +197,12 @@ def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
         NumericalError: if every rule activation underflows to zero.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    wbar, dead = _strengths(model.premises, _input_levels(x, model.input_dim))
+    return _predict(model, x, _input_levels(x, model.input_dim))
+
+
+def _predict(model: AnfisModel, x: np.ndarray, levels: Levels) -> np.ndarray:
+    """``forward_batch`` on the rows x whose ``_input_levels`` are given."""
+    wbar, dead = _strengths(model.premises, levels)
     _require_alive(dead)
     return (wbar * _rule_outputs(model.consequents, x).T).sum(axis=0)
 
@@ -306,15 +323,41 @@ def init_fis(train: Samples, radius: float) -> AnfisModel:
     )
 
 
-def _augment(x: np.ndarray) -> np.ndarray:
-    return np.column_stack([x, np.ones(len(x))])
+class _Fold(NamedTuple):
+    """Stacked rows x, y with what every fit and score on them reuses:
+    their ``_input_levels``, [x 1] and its contiguous transpose, and the
+    ``_ridge_fit`` constants for a rule count: [x 1][x 1]^T on the dual
+    side (None on the primal) and RIDGE n I of the side solved."""
+
+    x: np.ndarray
+    y: np.ndarray
+    levels: Levels
+    augmented: np.ndarray
+    augmented_t: np.ndarray
+    gram: np.ndarray | None
+    ridge: np.ndarray
 
 
-def _design_t(wbar: np.ndarray, augmented: np.ndarray) -> np.ndarray:
+def _fold(model: AnfisModel, samples: Samples | _Fold) -> _Fold:
+    """The ``_Fold`` of the samples for the model's inputs and rules; a
+    fold passes through, so a caller that holds one builds it once."""
+    if isinstance(samples, _Fold):
+        return samples
+    x, y = _stack_samples(samples)
+    levels = _input_levels(x, model.input_dim)
+    augmented = np.column_stack([x, np.ones(len(x))])
+    n, p = len(y), model.n_rules * augmented.shape[1]
+    gram = augmented @ augmented.T if p >= n else None
+    ridge = RIDGE * n * np.eye(min(n, p))
+    return _Fold(x, y, levels, augmented, np.ascontiguousarray(augmented.T), gram, ridge)
+
+
+def _design_t(wbar: np.ndarray, augmented_t: np.ndarray) -> np.ndarray:
     """The rule design transposed, (..., rules * (inputs + 1), n), for the
     (..., rules, n) normalized strengths: row (j, d) holds wbar_j * x_d,
-    with the bias column of ``augmented`` last."""
-    design_t = wbar[..., None, :] * np.ascontiguousarray(augmented.T)  # (..., R, D + 1, n)
+    with the bias row of the contiguous (inputs + 1, n) ``augmented_t``
+    last."""
+    design_t = wbar[..., None, :] * augmented_t  # (..., R, D + 1, n)
     return design_t.reshape(wbar.shape[:-2] + (-1, wbar.shape[-1]))
 
 
@@ -326,10 +369,12 @@ def fit_consequents_least_squares(model: AnfisModel, train: Samples) -> AnfisMod
     designs do not fail; the minimum-norm solution is used and a
     diagnostic is recorded on the returned model.
     """
-    x, y = _stack_samples(train)
-    wbar, dead = _strengths(model.premises, _input_levels(x, model.input_dim))
+    fold = _fold(model, train)
+    wbar, dead = _strengths(model.premises, fold.levels)
     _require_alive(dead)
-    solution, _, rank, _ = np.linalg.lstsq(_design_t(wbar, _augment(x)).T, y, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(
+        _design_t(wbar, fold.augmented_t).T, fold.y, rcond=None
+    )
     consequents = solution.reshape(model.consequents.shape)
     diagnostics = model.diagnostics
     if rank < consequents.size:
@@ -341,32 +386,32 @@ def fit_consequents_least_squares(model: AnfisModel, train: Samples) -> AnfisMod
 
 
 def _ridge_fit(
-    premises: np.ndarray, levels: Levels, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ridge consequents at fixed premises for the rows x with the given
-    ``_input_levels``, over any leading candidate axes.
+    premises: np.ndarray, fold: _Fold, consequents: bool = False
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Ridge consequents at fixed premises on a ``_fold``'s rows, over
+    any leading candidate axes.
 
     Solves on the smaller side of the n x p rule design A, p = rules *
     (inputs + 1): the primal (A^T A + RIDGE n I) theta = A^T y when p < n,
     else the dual alpha = solve(K + RIDGE n I, y), whose kernel A A^T is
     (wbar^T wbar) * [x 1][x 1]^T for the (rules, n) strengths wbar, with
     theta = A^T alpha and training residual RIDGE n alpha.  Returns the
-    (..., rules, inputs + 1) consequents, the (...) training RMSE and the
-    (..., n) mask of rows whose activations all underflow.
+    (..., rules, inputs + 1) consequents (on the dual side only when
+    ``consequents`` asks for them, else None), the (...) training RMSE
+    and the (..., n) mask of rows whose activations all underflow.
     """
-    augmented = _augment(x)
-    n, rules = len(y), premises.shape[-3]
-    wbar, dead = _strengths(premises, levels)
-    if rules * augmented.shape[1] >= n:
+    n, rules, y = len(fold.y), premises.shape[-3], fold.y
+    wbar, dead = _strengths(premises, fold.levels)
+    if fold.gram is not None:
         kernel = np.swapaxes(wbar, -1, -2) @ wbar
-        kernel *= augmented @ augmented.T
-        kernel += RIDGE * n * np.eye(n)
+        kernel *= fold.gram
+        kernel += fold.ridge
         alpha = np.linalg.solve(kernel, y)
-        consequents = (wbar * alpha[..., None, :]) @ augmented
-        return consequents, RIDGE * math.sqrt(n) * np.linalg.norm(alpha, axis=-1), dead
-    design_t = _design_t(wbar, augmented)
+        theta = (wbar * alpha[..., None, :]) @ fold.augmented if consequents else None
+        return theta, RIDGE * math.sqrt(n) * np.linalg.norm(alpha, axis=-1), dead
+    design_t = _design_t(wbar, fold.augmented_t)
     lhs = design_t @ np.swapaxes(design_t, -1, -2)
-    lhs += RIDGE * n * np.eye(lhs.shape[-1])
+    lhs += fold.ridge
     theta = np.linalg.solve(lhs, (design_t @ y)[..., None])[..., 0]
     residual = y - (theta[..., None, :] @ design_t)[..., 0, :]
     train_rmse = np.linalg.norm(residual, axis=-1) / math.sqrt(n)
@@ -382,8 +427,7 @@ def fit_consequents_ridge(model: AnfisModel, train: Samples) -> AnfisModel:
     when rules outnumber what the rows can pin down, where the
     minimum-norm least-squares fit interpolates.
     """
-    x, y = _stack_samples(train)
-    consequents, _, dead = _ridge_fit(model.premises, _input_levels(x, model.input_dim), x, y)
+    consequents, _, dead = _ridge_fit(model.premises, _fold(model, train), True)
     _require_alive(dead)
     return replace(model, consequents=consequents)
 
@@ -394,13 +438,13 @@ def scaling_objective(model0: AnfisModel, train: Samples) -> Callable[[np.ndarra
     Takes a (candidates, n_parameters) array and returns per row the
     training RMSE of ``apply_parameter_scaling`` followed by
     ``fit_consequents_ridge``, without building models: one batched solve,
-    on the same side as the fit's, covers all rows.  Rows are
+    on the same side as the fit's, covers all rows, and the rows' levels
+    and the solve's constants are built once, here.  Rows are
     independent: a row scores the same bits alone or in any batch.
     An infeasible candidate, under which every activation of some
     training row underflows, scores +inf.
     """
-    x, y = _stack_samples(train)
-    levels = _input_levels(x, model0.input_dim)
+    fold = _fold(model0, train)
 
     def objective(coefficients: np.ndarray) -> np.ndarray:
         coefficients = np.asarray(coefficients, dtype=float)
@@ -409,8 +453,7 @@ def scaling_objective(model0: AnfisModel, train: Samples) -> Callable[[np.ndarra
                 f"expected (candidates, {model0.n_parameters}) coefficients, "
                 f"got {coefficients.shape}"
             )
-        premises, _ = _scaled_premises(model0.premises, coefficients)
-        _, train_rmse, dead = _ridge_fit(premises, levels, x, y)
+        _, train_rmse, dead = _ridge_fit(_scaled_premises(model0.premises, coefficients), fold)
         return np.where(dead.any(axis=-1), np.inf, train_rmse)
 
     return objective
@@ -418,28 +461,31 @@ def scaling_objective(model0: AnfisModel, train: Samples) -> Callable[[np.ndarra
 
 def rmse(model: AnfisModel, dataset: Samples) -> float:
     """Root mean squared prediction error over a dataset."""
-    x, y = _stack_samples(dataset)
-    return float(np.sqrt(np.mean((forward_batch(model, x) - y) ** 2)))
+    fold = _fold(model, dataset)
+    return float(np.sqrt(np.mean((_predict(model, fold.x, fold.levels) - fold.y) ** 2)))
 
 
 def mape(model: AnfisModel, dataset: Samples) -> float:
     """Mean absolute percentage error; every target must be nonzero."""
-    x, y = _stack_samples(dataset)
-    if np.any(y == 0.0):
+    fold = _fold(model, dataset)
+    if np.any(fold.y == 0.0):
         raise DataError("mape undefined for zero targets")
-    errors = forward_batch(model, x) - y
-    return float(np.mean(np.abs(errors / y)) * 100.0)
+    errors = _predict(model, fold.x, fold.levels) - fold.y
+    return float(np.mean(np.abs(errors / fold.y)) * 100.0)
 
 
-def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, int]:
+def _scaled_premises(premises0: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Premises times each coefficient row (over any leading axes), with
-    widths and shape exponents below ``MIN_SHAPE_PARAM`` clamped to it;
-    plus the number clamped."""
-    premises = premises0 * coefficients.reshape(coefficients.shape[:-1] + premises0.shape)
-    shape_params = premises[..., 1:]  # a view: the clamp writes into premises
-    clamped = np.count_nonzero(shape_params < MIN_SHAPE_PARAM)
-    np.maximum(shape_params, MIN_SHAPE_PARAM, out=shape_params)
-    return premises, clamped
+    widths and shape exponents below ``MIN_SHAPE_PARAM`` clamped to it.
+    Shaped (..., rules, inputs, 3), but a view of contiguous (3, inputs,
+    ..., rules) planes: the layout ``_membership_matrix`` repeats."""
+    lead = coefficients.shape[:-1]
+    rules, inputs, _ = premises0.shape
+    scale = coefficients.reshape(lead + premises0.shape).transpose(-1, -2, *range(len(lead)), -3)
+    base = premises0.transpose(2, 1, 0).reshape((3, inputs) + (1,) * len(lead) + (rules,))
+    planes = np.multiply(base, scale, out=np.empty(scale.shape))
+    np.maximum(planes[1:], MIN_SHAPE_PARAM, out=planes[1:])
+    return planes.transpose((*range(2, len(lead) + 3), 1, 0))
 
 
 def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> AnfisModel:
@@ -448,15 +494,20 @@ def apply_parameter_scaling(model0: AnfisModel, coefficients: np.ndarray) -> Anf
     Coefficient i scales ``premises.ravel()[i]``: per rule, per input,
     (m, l, k).  The consequents are kept.  Width and shape parameters
     that would become nonpositive are clamped to 1e-6 and a diagnostic
-    is recorded.
+    is recorded.  A non-finite coefficient, or one that overflows its
+    premise, is a ``DataError``.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (model0.n_parameters,):
         raise DataError(
             f"expected {model0.n_parameters} coefficients, got {coefficients.shape}"
         )
+    if not np.isfinite(coefficients).all():
+        raise DataError("scaling coefficients must be finite numbers")
 
-    premises, clamped = _scaled_premises(model0.premises, coefficients)
+    premises = _scaled_premises(model0.premises, coefficients)
+    unclamped = model0.premises[..., 1:] * coefficients.reshape(model0.premises.shape)[..., 1:]
+    clamped = np.count_nonzero(unclamped < MIN_SHAPE_PARAM)
     diagnostics = model0.diagnostics
     if clamped:
         diagnostics = diagnostics + (

@@ -108,11 +108,11 @@ class EcsaConfig:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
+    @cached_property
     def lower(self) -> np.ndarray:
         return self.bounds[:, 0]
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
         return self.bounds[:, 1]
 
@@ -218,14 +218,20 @@ def local_neighborhood_update(
     """Move (crows, dim) positions toward memories borrowed from their
     neighborhoods; not clamped.
 
-    For crow i and dimension d, ``picks[i, d]`` selects a member of row i
-    of ``neighborhoods``, and the coordinate d of that member's memory
-    (the position it caches food at, which is what crows follow each
-    other to) forms the guide g.  The crow moves to x + r * fl * (g - x)
-    with one r ~ U(0, 1) per crow, ``r[i]`` (Askarzadeh 2016).
+    For crow i and dimension d, ``picks[i, d]``, in 0..k-1 for the k
+    columns of ``neighborhoods``, selects a member of its row i, and the
+    coordinate d of that member's memory (the position it caches food
+    at, which is what crows follow each other to) forms the guide g.
+    The crow moves to x + r * fl * (g - x) with one r ~ U(0, 1) per
+    crow, ``r[i]`` (Askarzadeh 2016).
     """
-    members = neighborhoods[np.arange(len(picks))[:, None], picks]
-    moved = memories[members, np.arange(positions.shape[1])]
+    # Flat takes: the member in cell (i, picks[i, d]) of the neighborhoods,
+    # then coordinate d of its memory.
+    n_local, dim = picks.shape
+    members = neighborhoods.take(picks + neighborhoods.shape[1] * np.arange(n_local)[:, None])
+    members *= dim
+    members += np.arange(dim)
+    moved = memories.take(members)
     moved -= positions
     moved *= (flight_length * r)[:, None]
     moved += positions
@@ -256,12 +262,14 @@ def global_update(
     :func:`decay_coefficient`, c2 ~ U(0, 1) per dimension, and the side s
     is +1 where the uniform draw ``side`` is below 0.5, else -1.
     Scaling by the box width keeps the move independent of the box's
-    units.
+    units.  Computes in the one array it allocates for the step.
     """
-    step = c1 * c2 * (upper - lower)
+    step = np.multiply(c1, c2)
+    step *= upper - lower
     # Subtracting the step signed like (draw - 0.5) adds it where the
     # draw is below 0.5 and subtracts it elsewhere.
-    return best_position - np.copysign(step, side - 0.5)
+    np.copysign(step, side - 0.5, out=step)
+    return np.subtract(best_position, step, out=step)
 
 
 class ObjectiveError(RiskfuseError):
@@ -350,7 +358,7 @@ def _ecsa_move(config, rng, itr, positions, fitnesses, memories, best):
     awareness = np.empty(n)
     awareness[fitnesses.argsort(kind="stable")] = config.awareness_by_rank
     aware = rng.random(n) < awareness
-    local, relocated = np.flatnonzero(~aware), np.flatnonzero(aware)
+    (local,), (relocated,) = (~aware).nonzero(), aware.nonzero()
     picks = rng.integers(0, neighborhoods.shape[1], size=(len(local), dim))
     r = rng.random(len(local))
     c2, side = rng.random((2, len(relocated), dim))
@@ -375,7 +383,7 @@ def _csa_move(config, rng, itr, positions, fitnesses, memories, best):
     n, dim = positions.shape
     targets = rng.integers(0, n, size=n)
     aware = rng.random(n) < config.ap_min
-    local, relocated = np.flatnonzero(~aware), np.flatnonzero(aware)
+    (local,), (relocated,) = (~aware).nonzero(), aware.nonzero()
     step = config.flight_length * rng.random(len(local))
     here = positions[local]
     moved = np.empty_like(positions)

@@ -147,12 +147,14 @@ def tune_anfis_with_ecsa(
     its best candidate's model; the winner across runs is picked by test
     RMSE.  A run's ``best_fitness`` is its model's training RMSE.
     """
-    train, test = anfis._stack_samples(train), anfis._stack_samples(test)
+    train = anfis._stack_samples(train)
     if base_model is None:
         base_model = anfis.init_fis(train, config.cluster_radius)
     # The tuned models replace the base consequents, so they carry none of
     # the notes of a supplied base's own fit.
     base_model = replace(base_model, diagnostics=())
+    # Each side's rows are levelled once, for every fit and score below.
+    train, test = anfis._fold(base_model, train), anfis._fold(base_model, test)
     objective = anfis.scaling_objective(base_model, train)
     n_coeff = base_model.n_parameters
     identity = np.ones(n_coeff)
@@ -329,7 +331,7 @@ def run_pipeline(
     best_tuning = min(cv.tunings, key=lambda tuning: tuning.test_rmse)
     model = best_tuning.model
     with _stage("tuning"):
-        heldout = (x[cv.test], y[cv.test])
+        heldout = anfis._fold(model, (x[cv.test], y[cv.test]))
         heldout_rmse = anfis.rmse(model, heldout)
         heldout_mape = anfis.mape(model, heldout)
 

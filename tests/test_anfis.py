@@ -240,6 +240,52 @@ class TestTiedInputs:
         assert np.count_nonzero(_membership_matrix(premises, _input_levels(xs, 1))[0] == 0.0) == 2
 
 
+class TestThreeByThree:
+    """Three rules of three inputs: the (m, l, k) axis has the length of
+    the rule and input axes, so no mix-up of the three can pass."""
+
+    def test_scaled_strengths_keep_the_per_row_bits(self, rng):
+        model = random_model(rng, dim=3, n_rules=3)
+        coefficients = rng.uniform(0.5, 1.5, size=(4, model.n_parameters))
+        premises = anfis._scaled_premises(model.premises, coefficients)
+        expected = model.premises * coefficients.reshape(4, 3, 3, 3)
+        assert premises.tobytes() == expected.tobytes()
+        xs = rng.choice(TestTiedInputs.ORDINAL, size=(9, 3))
+        got = _membership_matrix(premises, _input_levels(xs, 3))
+        assert got.tobytes() == per_row_strengths(expected, xs).tobytes()
+
+    @pytest.mark.parametrize("n_rows", [9, 20], ids=["dual", "primal"])
+    def test_objective_matches_scaled_ridge_fit(self, rng, n_rows):
+        # p = 3 rules * 4 = 12 unknowns: the dual side on 9 rows, the
+        # primal side on 20.
+        model = random_model(rng, dim=3, n_rules=3)
+        xs = rng.uniform(0.0, 1.0, size=(n_rows, 3))
+        train = list(zip(xs, np.sin(3.0 * xs.sum(axis=1))))
+        coefficients = rng.uniform(0.5, 1.5, size=(5, model.n_parameters))
+        values = scaling_objective(model, train)(coefficients)
+        expected = [
+            rmse(fit_consequents_ridge(apply_parameter_scaling(model, row), train), train)
+            for row in coefficients
+        ]
+        assert values == pytest.approx(expected, rel=1e-9)
+
+
+class TestLayout:
+    """Firing strengths are shaped (..., rules, rows) but stored with the
+    rows outermost, with or without candidate axes.  The layout sets the
+    order of the rule-axis sum and of the solves' inputs, so the bits."""
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_rows_outermost(self, rng, lead):
+        model = random_model(rng, dim=3, n_rules=5)
+        coefficients = rng.uniform(0.5, 1.5, size=lead + (model.n_parameters,))
+        premises = anfis._scaled_premises(model.premises, coefficients)
+        levels = _input_levels(rng.uniform(-1, 2, size=(7, 3)), 3)
+        for wbar in (_membership_matrix(premises, levels), anfis._strengths(premises, levels)[0]):
+            assert wbar.shape == lead + (5, 7)
+            assert np.moveaxis(wbar, -1, 0).flags.c_contiguous
+
+
 class TestInputsKept:
     """The kernel computes in place only in arrays it allocates itself."""
 
@@ -326,6 +372,17 @@ class TestInitFis:
         model = fit_consequents_least_squares(init_fis(train, radius=0.5), train)
         assert model.n_rules == 1
         assert forward(model, np.array([0.4])) == pytest.approx(0.9)
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["premises", "consequents", "input_normalization"])
+    def test_non_finite_parameters_rejected(self, rng, field, bad):
+        model = random_model(rng, dim=2, n_rules=2)
+        values = getattr(model, field).copy()
+        values[0, 0] = bad
+        with pytest.raises(DataError, match="finite"):
+            replace(model, **{field: values})
 
 
 class TestLeastSquaresFit:
@@ -540,6 +597,24 @@ class TestParameterScaling:
         model = random_model(rng)
         with pytest.raises(DataError):
             apply_parameter_scaling(model, np.ones(model.n_parameters + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_coefficient_rejected(self, rng, bad, slot):
+        # A center, width or shape coefficient that leaves a premise
+        # non-finite gives no model that only evaluates to NaN.
+        model = random_model(rng, dim=2, n_rules=2)
+        coefficients = np.ones(model.n_parameters)
+        coefficients[3 + slot] = bad
+        with pytest.raises(DataError, match="finite"):
+            apply_parameter_scaling(model, coefficients)
+
+    def test_overflowing_coefficient_rejected(self, rng):
+        model = random_model(rng, dim=2, n_rules=2)
+        coefficients = np.ones(model.n_parameters)
+        coefficients[1] = 1e308  # times a width above 1: +inf
+        with pytest.raises(DataError, match="finite"), np.errstate(over="ignore"):
+            apply_parameter_scaling(replace(model, premises=model.premises * 2.0 + 1.0), coefficients)
 
     def test_flattening_order(self, rng):
         # Coefficient i scales premises.ravel()[i]: per rule, per input,

@@ -235,7 +235,7 @@ class TestSearchObjective:
             *config.coefficient_bounds(), size=(8, base.n_parameters)
         )
         batch[0] = 1.0
-        premises, _ = anfis._scaled_premises(base.premises, batch)
+        premises = anfis._scaled_premises(base.premises, batch)
         wbar, _ = anfis._strengths(premises, anfis._input_levels(x, base.input_dim))
         augmented = np.column_stack([x, np.ones(n)])
         kernel = (np.swapaxes(wbar, -1, -2) @ wbar) * (augmented @ augmented.T)
@@ -272,6 +272,29 @@ class TestSearchObjective:
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
             "c493f6773419112ac5ce1f1aa50330ab49460bd8b14789222fe4c1dd5d41d379"
         )
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [("groups", "5cbb227ede1ab8cff7e97c4f9364c1d02d9d0ed5bca90b1e18ece436b89fb345"),
+         ("codes", "3fcd26ac67c5057b5a07ab93fa45e3b3e61bd988e3229514261c3cc8ac3a7bb3")],
+    )
+    def test_search_sized_batch_pinned_and_rows_alone(self, nasa_records, catalog, mode, digest):
+        """A batch of 10, the search's population: the all-ones row, eight
+        rows of the default box and one of the signed box, whose width and
+        shape coefficients hit the clamp.  Its scores keep the bits they
+        had before the fold constants and the rows-first membership
+        gather; each row scores the same bits alone, on the primal
+        (groups) and the dual (codes) side."""
+        config, fold, base = _fold0(nasa_records, catalog, mode)
+        rng = np.random.default_rng(28)
+        batch = rng.uniform(*config.coefficient_bounds(), size=(10, base.n_parameters))
+        batch[0] = 1.0
+        batch[9] = rng.uniform(-10.0, 10.0, size=base.n_parameters)
+        objective = scaling_objective(base, fold)
+        values = objective(batch)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+        rows = np.concatenate([objective(row[None]) for row in batch])
+        assert rows.tobytes() == values.tobytes()
 
     def test_underflowing_candidate_scores_inf(self):
         # One rule centred at 0; the candidate clamps its width to 1e-6 and
