@@ -21,8 +21,9 @@ they differ only in the rule that moves the crows.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
@@ -44,12 +45,6 @@ def _clamp(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     Python-level dispatch, which costs more than the arithmetic of a crow
     move; the result is the same."""
     return np.minimum(np.maximum(x, lower, out=x), upper, out=x)
-
-
-def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +114,9 @@ class EcsaConfig:
     @cached_property
     def awareness_by_rank(self) -> np.ndarray:
         """Awareness probability of the crows ranked 1, 2, ..., N_p."""
-        return _read_only(
-            dynamic_awareness_probability(np.arange(1, self.population_size + 1), self)
-        )
+        awareness = dynamic_awareness_probability(np.arange(1, self.population_size + 1), self)
+        awareness.flags.writeable = False
+        return awareness
 
     @property
     def evaluation_budget(self) -> int:
@@ -159,9 +154,26 @@ class OptimizationResult:
     metadata: dict
 
 
-def _uniform(rng: np.random.Generator, shape, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+# One search's generator, constants and buffers, read by its moves: the
+# box width upper - lower, the C1 of each iteration, the ring slots and
+# the flat offset of each neighborhood row, arange(dim), and the (n,)
+# awareness and (n, k) neighborhood buffers.
+_Flight = namedtuple("_Flight", "config rng width c1 slots rows columns awareness neighborhoods")
+
+
+def _flight(config: EcsaConfig, rng: np.random.Generator) -> _Flight:
+    slots = _ring_slots(config.population_size)
+    m = config.max_iterations
+    return _Flight(
+        config, rng, config.upper - config.lower, [_decay(itr, m) for itr in range(m + 1)],
+        slots, slots.shape[1] * np.arange(len(slots))[:, None], np.arange(config.dim),
+        np.empty(len(slots)), np.empty_like(slots),
+    )
+
+
+def _uniform(flight: _Flight, shape) -> np.ndarray:
     """Points drawn uniformly inside the bounds."""
-    return lower + rng.random(shape) * (upper - lower)
+    return flight.config.lower + flight.rng.random(shape) * flight.width
 
 
 def dynamic_awareness_probability(ranks: np.ndarray, config: EcsaConfig) -> np.ndarray:
@@ -180,14 +192,18 @@ def dynamic_awareness_probability(ranks: np.ndarray, config: EcsaConfig) -> np.n
     return config.ap_min + (config.ap_max - config.ap_min) * ranks / n
 
 
-@lru_cache(maxsize=None)
 def _ring_slots(n: int) -> np.ndarray:
     """(n, k) slots of each ring slot's neighborhood, from ``RING_REACH``
     back to ``RING_REACH`` ahead, each slot once."""
     offsets = dict.fromkeys(o % n for o in range(-RING_REACH, RING_REACH + 1))
-    slots = (np.arange(n)[:, None] + list(offsets)) % n
-    slots.flags.writeable = False
-    return slots
+    return (np.arange(n)[:, None] + list(offsets)) % n
+
+
+def _reshuffle(rng: np.random.Generator, slots: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the neighborhoods of a fresh ring shuffle."""
+    order = rng.permutation(len(slots))
+    out[order] = order[slots]
+    return out
 
 
 def reshuffle_neighborhoods(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -200,11 +216,8 @@ def reshuffle_neighborhoods(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if not (is_integer(n) and n >= 1):
         raise DataError(f"need a whole number of crows >= 1, got {n!r}")
-    order = rng.permutation(n)
     slots = _ring_slots(n)
-    neighborhoods = np.empty_like(slots)
-    neighborhoods[order] = order[slots]
-    return neighborhoods
+    return _reshuffle(rng, slots, np.empty_like(slots))
 
 
 def local_neighborhood_update(
@@ -225,12 +238,18 @@ def local_neighborhood_update(
     The crow moves to x + r * fl * (g - x) with one r ~ U(0, 1) per
     crow, ``r[i]`` (Askarzadeh 2016).
     """
-    # Flat takes: the member in cell (i, picks[i, d]) of the neighborhoods,
-    # then coordinate d of its memory.
     n_local, dim = picks.shape
-    members = neighborhoods.take(picks + neighborhoods.shape[1] * np.arange(n_local)[:, None])
-    members *= dim
-    members += np.arange(dim)
+    cells = picks + neighborhoods.shape[1] * np.arange(n_local)[:, None]
+    return _follow(positions, neighborhoods, cells, r, memories, flight_length, np.arange(dim))
+
+
+def _follow(positions, neighborhoods, cells, r, memories, flight_length, columns):
+    """:func:`local_neighborhood_update` from the flat ``cells`` of the
+    neighborhoods that the picks select and ``columns`` = arange(dim)."""
+    # Flat takes: the member in each cell, then coordinate d of its memory.
+    members = neighborhoods.take(cells)
+    members *= len(columns)
+    members += columns
     moved = memories.take(members)
     moved -= positions
     moved *= (flight_length * r)[:, None]
@@ -241,8 +260,12 @@ def local_neighborhood_update(
 def decay_coefficient(itr: int, max_itr: int) -> float:
     """Best-guided step size C1 = 2 exp(-(4 itr / max_itr)^2), decaying
     from 2 toward 0 across the run."""
-    if not 0 <= itr <= max_itr:
-        raise DataError(f"iteration {itr} outside 0..{max_itr}")
+    if not (is_integer(itr) and is_integer(max_itr) and 0 <= itr <= max_itr and max_itr >= 1):
+        raise DataError(f"need whole numbers 0 <= itr <= max_itr >= 1, got {itr!r}, {max_itr!r}")
+    return _decay(itr, max_itr)
+
+
+def _decay(itr: int, max_itr: int) -> float:
     return 2.0 * math.exp(-((4.0 * itr / max_itr) ** 2))
 
 
@@ -264,8 +287,13 @@ def global_update(
     Scaling by the box width keeps the move independent of the box's
     units.  Computes in the one array it allocates for the step.
     """
+    return _relocate(best_position, c1, c2, side, upper - lower)
+
+
+def _relocate(best_position, c1, c2, side, width):
+    """:func:`global_update` with the box width ``upper - lower``."""
     step = np.multiply(c1, c2)
-    step *= upper - lower
+    step *= width
     # Subtracting the step signed like (draw - 0.5) adds it where the
     # draw is below 0.5 and subtracts it elsewhere.
     np.copysign(step, side - 0.5, out=step)
@@ -275,22 +303,6 @@ def global_update(
 class ObjectiveError(RiskfuseError):
     """Objective raised during a run; names the iteration and keeps the
     original exception as ``__cause__``."""
-
-
-def _evaluate(objective: Objective, positions: np.ndarray, itr: int) -> np.ndarray:
-    """Fitnesses of a (crows, dim) population.
-
-    The objective is called once with all rows and returns one value per
-    row; a scalar result counts for every row.  A NaN value scores as
-    +inf, so it never becomes a memory or the best.
-    """
-    fits = np.empty(len(positions))
-    try:
-        fits[:] = objective(positions)
-    except Exception as exc:
-        raise ObjectiveError(f"objective failed at iteration {itr}: {exc}") from exc
-    np.copyto(fits, np.inf, where=np.isnan(fits))
-    return fits
 
 
 def _search(
@@ -304,32 +316,41 @@ def _search(
     Scatters the crows uniformly inside the bounds (warm-start guesses
     replace the first crows' spots), then alternates one objective call
     with all crows and one move rule,
-    ``move(config, rng, itr, positions, fitnesses, memories, best)``,
-    which returns the next (crows, dim) positions from the current ones,
-    their fitnesses, the memories and the best memory.  A crow's memory
-    moves only where it strictly improved, so the best-fitness history
-    never increases.
+    ``move(flight, itr, positions, fitnesses, memories, best)``, which
+    returns the next (crows, dim) positions as a new array.  The
+    objective returns one value per row, or one scalar for every row; a
+    NaN value scores as +inf, so it never becomes a memory or the best.
+    A crow's memory moves only where it strictly improved, so the
+    best-fitness history never increases.
     """
-    rng = np.random.default_rng(config.seed)
-    n, lower, upper = config.population_size, config.lower, config.upper
-    positions = _uniform(rng, (n, config.dim), lower, upper)
+    flight = _flight(config, np.random.default_rng(config.seed))
+    n = config.population_size
+    positions = _uniform(flight, (n, config.dim))
     if len(initial_guesses) > n:
-        raise DataError(
-            f"{len(initial_guesses)} initial guesses exceed the population size {n}"
-        )
+        raise DataError(f"{len(initial_guesses)} initial guesses exceed the population size {n}")
     for j, guess in enumerate(initial_guesses):
-        guess = np.asarray(guess, dtype=float)
+        try:
+            guess = np.asarray(guess, dtype=float)
+        except (TypeError, ValueError):
+            raise DataError(f"initial guess {j} must be numbers, got {guess!r}") from None
         if guess.shape != (config.dim,):
             raise DataError(f"initial guess {j} has shape {guess.shape}, expected ({config.dim},)")
-        positions[j] = np.clip(guess, lower, upper)
+        if not np.isfinite(guess).all():
+            raise DataError(f"initial guess {j} must be finite, got {guess.tolist()}")
+        positions[j] = np.clip(guess, config.lower, config.upper)
 
     memories = positions.copy()
     memory_fits = np.full(n, np.inf)
+    fits = np.empty(n)
     history = []
     for itr in range(config.max_iterations + 1):
         if itr:
-            positions = move(config, rng, itr, positions, fits, memories, memories[best])
-        fits = _evaluate(objective, positions, itr)
+            positions = move(flight, itr, positions, fits, memories, memories[best])
+        try:
+            fits[:] = objective(positions)
+        except Exception as exc:
+            raise ObjectiveError(f"objective failed at iteration {itr}: {exc}") from exc
+        np.copyto(fits, np.inf, where=np.isnan(fits))
         np.copyto(memories, positions, where=(fits < memory_fits)[:, None])
         np.minimum(memory_fits, fits, out=memory_fits)
         best = int(memory_fits.argmin())
@@ -343,7 +364,7 @@ def _search(
     )
 
 
-def _ecsa_move(config, rng, itr, positions, fitnesses, memories, best):
+def _ecsa_move(flight, itr, positions, fitnesses, memories, best):
     """Rank the crows by their fitness; each then follows its ring
     neighborhood, or, on an awareness draw below its probability,
     relocates around the best memory.
@@ -353,26 +374,27 @@ def _ecsa_move(config, rng, itr, positions, fitnesses, memories, best):
     of the local crows, then one (2, relocated, dim) block holding c2
     and the sides of the relocated crows, each in crow order.  Each move
     then runs once over its crows, and one clamp covers both."""
+    config, rng = flight.config, flight.rng
     n, dim = positions.shape
-    neighborhoods = reshuffle_neighborhoods(n, rng)
-    awareness = np.empty(n)
+    neighborhoods = _reshuffle(rng, flight.slots, flight.neighborhoods)
+    awareness = flight.awareness
     awareness[fitnesses.argsort(kind="stable")] = config.awareness_by_rank
     aware = rng.random(n) < awareness
     (local,), (relocated,) = (~aware).nonzero(), aware.nonzero()
-    picks = rng.integers(0, neighborhoods.shape[1], size=(len(local), dim))
+    cells = rng.integers(0, neighborhoods.shape[1], size=(len(local), dim))
     r = rng.random(len(local))
     c2, side = rng.random((2, len(relocated), dim))
-    lower, upper = config.lower, config.upper
+    cells += flight.rows.take(local, 0)
     moved = np.empty_like(positions)
-    moved[local] = local_neighborhood_update(
-        positions[local], neighborhoods[local], picks, r, memories, config.flight_length
+    moved[local] = _follow(
+        positions.take(local, 0), neighborhoods, cells, r, memories, config.flight_length,
+        flight.columns,
     )
-    c1 = decay_coefficient(itr, config.max_iterations)
-    moved[relocated] = global_update(best, c1, c2, side, lower, upper)
-    return _clamp(moved, lower, upper)
+    moved[relocated] = _relocate(best, flight.c1[itr], c2, side, flight.width)
+    return _clamp(moved, config.lower, config.upper)
 
 
-def _csa_move(config, rng, itr, positions, fitnesses, memories, best):
+def _csa_move(flight, itr, positions, fitnesses, memories, best):
     """Each crow picks a random crow to follow toward its memory, or,
     when that crow is aware (fixed probability ``ap_min``), relocates
     uniformly.  A move makes four generator calls, in this order: every
@@ -380,6 +402,7 @@ def _csa_move(config, rng, itr, positions, fitnesses, memories, best):
     crows and one (relocated, dim) block of uniform points, each in crow
     order.  Each move then runs once over its crows; one clamp covers
     both."""
+    config, rng = flight.config, flight.rng
     n, dim = positions.shape
     targets = rng.integers(0, n, size=n)
     aware = rng.random(n) < config.ap_min
@@ -388,13 +411,13 @@ def _csa_move(config, rng, itr, positions, fitnesses, memories, best):
     here = positions[local]
     moved = np.empty_like(positions)
     moved[local] = here + step[:, None] * (memories[targets[local]] - here)
-    moved[relocated] = _uniform(rng, (len(relocated), dim), config.lower, config.upper)
+    moved[relocated] = _uniform(flight, (len(relocated), dim))
     return _clamp(moved, config.lower, config.upper)
 
 
-def _random_move(config, rng, itr, positions, fitnesses, memories, best):
+def _random_move(flight, itr, positions, fitnesses, memories, best):
     """Every crow draws a fresh uniform point."""
-    return _uniform(rng, positions.shape, config.lower, config.upper)
+    return _uniform(flight, positions.shape)
 
 
 def optimize(
@@ -438,14 +461,16 @@ def random_search(objective: Objective, config: EcsaConfig) -> OptimizationResul
 
 def sphere(x: np.ndarray) -> np.ndarray:
     """Sum of squares of each row (the last axis) of x."""
-    x = np.asarray(x, dtype=float)
-    return np.sum(x**2, axis=-1)
+    return np.add.reduce(np.square(np.asarray(x, dtype=float)), axis=-1)
 
 
 def rastrigin(x: np.ndarray) -> np.ndarray:
     """Multimodal benchmark per row of x: 10 d + sum(x^2 - 10 cos(2 pi x))."""
     x = np.asarray(x, dtype=float)
-    return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * math.pi * x), axis=-1)
+    wave = np.multiply(2.0 * math.pi, x)
+    terms = np.square(x)
+    terms -= np.multiply(10.0, np.cos(wave, out=wave), out=wave)
+    return 10.0 * x.shape[-1] + np.add.reduce(terms, axis=-1)
 
 
 BENCHMARKS: dict[str, Objective] = {

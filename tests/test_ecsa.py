@@ -10,6 +10,7 @@ from riskfuse.ecsa import (
     _clamp,
     _csa_move,
     _ecsa_move,
+    _flight,
     classical_csa,
     decay_coefficient,
     dynamic_awareness_probability,
@@ -219,6 +220,14 @@ class TestGlobalUpdate:
         with pytest.raises(DataError):
             decay_coefficient(11, 10)
 
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(DataError):
+            decay_coefficient(0, 0)
+
+    def test_fractional_iteration_rejected(self):
+        with pytest.raises(DataError):
+            decay_coefficient(1.5, 3)
+
     def test_bounded(self, rng):
         lower, upper = np.zeros(3), np.ones(3)
         for itr in (0, 3, 10):
@@ -282,6 +291,44 @@ class TestOptimize:
         config = unit_config(dim=3)
         with pytest.raises(DataError, match=r"guess 0 has shape \(4,\), expected \(3,\)"):
             optimize(sphere, config, initial_guesses=[np.zeros(4)])
+
+    @pytest.mark.parametrize(
+        "guess, message",
+        [(["a"] * 3, "must be numbers"), ([0.5, None, 0.5], "must be finite"),
+         ([0.5, math.nan, 0.5], "must be finite"), ([math.inf, 0.5, 0.5], "must be finite"),
+         ([0.5, 0.5, -math.inf], "must be finite")],
+        ids=["text", "none", "nan", "inf", "-inf"],
+    )
+    def test_bad_initial_guess_is_data_error(self, guess, message):
+        with pytest.raises(DataError, match=f"initial guess 1 {message}"):
+            optimize(sphere, unit_config(dim=3), initial_guesses=[[0.5] * 3, guess])
+
+    @pytest.mark.parametrize("search", [optimize, classical_csa, random_search])
+    def test_handed_out_batches_are_never_reused(self, search):
+        # The kept arrays are the ones handed to the objective; a loop
+        # that wrote a later batch into an earlier one, or an objective
+        # that wrote into its argument, would make them differ from the
+        # copies taken at each call.
+        config = unit_config(dim=4, max_iterations=12)
+        kept, copies = [], []
+
+        def objective(x):
+            kept.append(x)
+            copies.append(x.copy())
+            return rastrigin(x) + sphere(x)
+
+        search(objective, config)
+        assert len({id(x) for x in kept}) == len(kept) == config.max_iterations + 1
+        for x, copy in zip(kept, copies):
+            assert np.array_equal(x, copy)
+
+    @pytest.mark.parametrize("function", [sphere, rastrigin])
+    def test_benchmark_leaves_its_input(self, function):
+        x = np.random.default_rng(3).uniform(-5.12, 5.12, (4, 6))
+        copy = x.copy()
+        function(x)
+        function(x[0])
+        assert np.array_equal(x, copy)
 
     def test_objective_error_carries_context(self):
         config = unit_config()
@@ -390,7 +437,8 @@ class TestEcsaMoveDraws:
         n = config.population_size
         positions = np.zeros((n, dim))
         return _ecsa_move(
-            config, rng, 1, positions, np.arange(n, dtype=float), positions.copy(), np.ones(dim)
+            _flight(config, rng), 1, positions, np.arange(n, dtype=float), positions.copy(),
+            np.ones(dim),
         )
 
     @pytest.mark.parametrize(
@@ -446,7 +494,7 @@ class TestCsaMoveDraws:
         config = unit_config(dim=dim, population_size=n, ap_min=ap_min, ap_max=1.0)
         positions, memories = np.random.default_rng(6).random((2, n, dim))
         rng = _RecordingRng(5)
-        moved = _csa_move(config, rng, 1, positions, None, memories, None)
+        moved = _csa_move(_flight(config, rng), 1, positions, None, memories, None)
         targets, awareness, r, points = (out for _, _, _, out in rng.calls)
         relocated = awareness < ap_min
         if expected_relocated is not None:
@@ -479,7 +527,7 @@ class TestCsaMoveDraws:
         for _ in range(moves):
             # Following crows of flight 0 stay at 0; relocated ones land
             # inside the unit box.
-            moved = _csa_move(config, rng, 1, positions, None, positions, None)
+            moved = _csa_move(_flight(config, rng), 1, positions, None, positions, None)
             relocated += moved[:, 0] > 0.0
         assert relocated / moves == pytest.approx(np.full(10, config.ap_min), abs=tolerance)
 
