@@ -173,7 +173,10 @@ def _cmd_pipeline(args) -> int:
     data_path = Path(args.data) if args.data else bundled_path("nasa93.arff")
     matrices_path = Path(args.matrices) if args.matrices else bundled_path("respondents.json")
     records = load_dataset(data_path, args.data_format)
-    matrices, scale, _ = _load_matrices(matrices_path, config.scale)
+    matrices, scale, criteria = _load_matrices(matrices_path, config.scale)
+    groups = list(default_catalog().group_names())
+    if _check_names(criteria, len(groups), "criteria") not in (None, groups):
+        raise DataError(f"criteria {criteria} are not the catalog's groups {groups} in order")
     report = run_pipeline(records, matrices, replace(config, scale=scale))
 
     print("criteria:", ", ".join(report.criteria))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
@@ -103,21 +102,6 @@ class EcsaConfig:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @cached_property
-    def lower(self) -> np.ndarray:
-        return self.bounds[:, 0]
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        return self.bounds[:, 1]
-
-    @cached_property
-    def awareness_by_rank(self) -> np.ndarray:
-        """Awareness probability of the crows ranked 1, 2, ..., N_p."""
-        awareness = dynamic_awareness_probability(np.arange(1, self.population_size + 1), self)
-        awareness.flags.writeable = False
-        return awareness
-
     @property
     def evaluation_budget(self) -> int:
         """Objective evaluations one run consumes (init + per-iteration)."""
@@ -155,25 +139,32 @@ class OptimizationResult:
 
 
 # One search's generator, constants and buffers, read by its moves: the
-# box width upper - lower, the C1 of each iteration, the ring slots and
-# the flat offset of each neighborhood row, arange(dim), and the (n,)
-# awareness and (n, k) neighborhood buffers.
-_Flight = namedtuple("_Flight", "config rng width c1 slots rows columns awareness neighborhoods")
+# box's lower and upper columns and its width, the awareness probability
+# of the crows ranked 1, 2, ..., N_p, the C1 of each iteration, the ring
+# slots and the flat offset of each neighborhood row, arange(dim), and
+# the (n,) awareness and (n, k) neighborhood buffers.
+_Flight = namedtuple(
+    "_Flight",
+    "config rng lower upper width awareness_by_rank c1 slots rows columns awareness neighborhoods",
+)
 
 
 def _flight(config: EcsaConfig, rng: np.random.Generator) -> _Flight:
-    slots = _ring_slots(config.population_size)
-    m = config.max_iterations
+    n, m = config.population_size, config.max_iterations
+    slots = _ring_slots(n)
+    lower, upper = config.bounds.T
     return _Flight(
-        config, rng, config.upper - config.lower, [_decay(itr, m) for itr in range(m + 1)],
-        slots, slots.shape[1] * np.arange(len(slots))[:, None], np.arange(config.dim),
-        np.empty(len(slots)), np.empty_like(slots),
+        config, rng, lower, upper, upper - lower,
+        dynamic_awareness_probability(np.arange(1, n + 1), config),
+        [_decay(itr, m) for itr in range(m + 1)],
+        slots, slots.shape[1] * np.arange(n)[:, None], np.arange(config.dim),
+        np.empty(n), np.empty_like(slots),
     )
 
 
 def _uniform(flight: _Flight, shape) -> np.ndarray:
     """Points drawn uniformly inside the bounds."""
-    return flight.config.lower + flight.rng.random(shape) * flight.width
+    return flight.lower + flight.rng.random(shape) * flight.width
 
 
 def dynamic_awareness_probability(ranks: np.ndarray, config: EcsaConfig) -> np.ndarray:
@@ -337,7 +328,7 @@ def _search(
             raise DataError(f"initial guess {j} has shape {guess.shape}, expected ({config.dim},)")
         if not np.isfinite(guess).all():
             raise DataError(f"initial guess {j} must be finite, got {guess.tolist()}")
-        positions[j] = np.clip(guess, config.lower, config.upper)
+        positions[j] = np.clip(guess, flight.lower, flight.upper)
 
     memories = positions.copy()
     memory_fits = np.full(n, np.inf)
@@ -378,7 +369,7 @@ def _ecsa_move(flight, itr, positions, fitnesses, memories, best):
     n, dim = positions.shape
     neighborhoods = _reshuffle(rng, flight.slots, flight.neighborhoods)
     awareness = flight.awareness
-    awareness[fitnesses.argsort(kind="stable")] = config.awareness_by_rank
+    awareness[fitnesses.argsort(kind="stable")] = flight.awareness_by_rank
     aware = rng.random(n) < awareness
     (local,), (relocated,) = (~aware).nonzero(), aware.nonzero()
     cells = rng.integers(0, neighborhoods.shape[1], size=(len(local), dim))
@@ -391,7 +382,7 @@ def _ecsa_move(flight, itr, positions, fitnesses, memories, best):
         flight.columns,
     )
     moved[relocated] = _relocate(best, flight.c1[itr], c2, side, flight.width)
-    return _clamp(moved, config.lower, config.upper)
+    return _clamp(moved, flight.lower, flight.upper)
 
 
 def _csa_move(flight, itr, positions, fitnesses, memories, best):
@@ -412,7 +403,7 @@ def _csa_move(flight, itr, positions, fitnesses, memories, best):
     moved = np.empty_like(positions)
     moved[local] = here + step[:, None] * (memories[targets[local]] - here)
     moved[relocated] = _uniform(flight, (len(relocated), dim))
-    return _clamp(moved, config.lower, config.upper)
+    return _clamp(moved, flight.lower, flight.upper)
 
 
 def _random_move(flight, itr, positions, fitnesses, memories, best):

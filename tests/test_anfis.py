@@ -329,6 +329,12 @@ class TestSubtractiveClustering:
         for mean in means:
             assert min(np.linalg.norm(c - mean) for c in centers) < 0.1
 
+    def test_one_dimensional_data_is_one_input(self):
+        points = np.array([0.0, 0.05, 0.9, 1.0])
+        centers = subtractive_clustering(points, radius=0.5)
+        assert centers.shape[1] == 1
+        assert centers.tobytes() == subtractive_clustering(points[:, None], radius=0.5).tobytes()
+
     def test_input_validation(self):
         with pytest.raises(DataError):
             subtractive_clustering(np.empty((0, 2)), radius=0.5)
@@ -383,6 +389,19 @@ class TestModelChecks:
         values[0, 0] = bad
         with pytest.raises(DataError, match="finite"):
             replace(model, **{field: values})
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"premises": np.ones((2, 2))}, "premises must be"),
+         ({"premises": np.ones((0, 2, 3))}, "premises must be"),
+         ({"consequents": np.zeros((2, 2))}, "do not fit"),
+         ({"input_normalization": np.array([[0.0, 1.0]])}, "do not fit"),
+         ({"input_normalization": np.array([[0.0, 1.0], [0.5, 0.5]])}, "spans must be positive")],
+        ids=["2-d-premises", "no-rules", "short-consequents", "one-span", "empty-span"],
+    )
+    def test_misshaped_parameters_rejected(self, rng, changes, message):
+        with pytest.raises(DataError, match=message):
+            replace(random_model(rng, dim=2, n_rules=2), **changes)
 
 
 class TestLeastSquaresFit:
@@ -597,6 +616,14 @@ class TestParameterScaling:
         model = random_model(rng)
         with pytest.raises(DataError):
             apply_parameter_scaling(model, np.ones(model.n_parameters + 1))
+
+    # 2 rules of 2 inputs take 12 coefficients per candidate row.
+    @pytest.mark.parametrize("shape", [(12,), (1, 13)], ids=["one-row", "extra-coefficient"])
+    def test_objective_coefficient_shape_checked(self, rng, shape):
+        model = random_model(rng, dim=2, n_rules=2)
+        objective = scaling_objective(model, [(rng.random(2), 1.0) for _ in range(4)])
+        with pytest.raises(DataError, match=r"expected \(candidates, 12\) coefficients"):
+            objective(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", [0, 1, 2])

@@ -1,7 +1,10 @@
-"""The summarizer of ``scripts/bench_pairs.py`` on hand-made pair records."""
+"""``scripts/bench_pairs.py``: its summaries on hand-made pair records,
+its child runs on stub commands, and the objective workload's recording
+of the pipeline's own searches."""
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,58 @@ def test_north_star_wall_times_summarized():
     assert (wall["change_lower_pairs"], wall["change_higher_pairs"]) == (3, 1)
     assert wall["median_ratio"] == pytest.approx(2.75 / 3.5)
     assert "claim_met" not in wall
+
+
+def test_objective_replay_scores_every_recorded_call(tmp_path):
+    bench_pairs.record(tmp_path)  # raises unless one objective per fold was recorded
+    result = bench_pairs.replay(tmp_path, passes=1)
+    # 3 folds of one search: 101 batches each plus the all-ones call;
+    # codes searches run 6 iterations, so 7 batches plus that call.
+    assert {name: run["calls"] for name, run in result["workloads"].items()} == {
+        "pipeline-groups": 306,
+        "pipeline-codes": 24,
+    }
+    assert all(run["us_per_call"] > 0 for run in result["workloads"].values())
+    # Every score in call order, groups first: the scores kept their bits
+    # through the fold constants and the rows-first membership gather.
+    assert result["scores_sha256"] == (
+        "ddfe6bdbef083c00717e0209faa1abcded9c8fae335fd979d8d52d6d08f96f9f"
+    )
+
+
+def stub_replay(digest):
+    """A ``replay`` result of one workload whose scores hash to ``digest``."""
+    return {"workloads": {"pipeline-groups": {"calls": 2, "us_per_call": 1.0,
+                                              "scores_sha256": digest}},
+            "scores_sha256": digest}
+
+
+@pytest.mark.parametrize("change_digest, code", [("a", 0), ("b", 1)],
+                         ids=["same-scores", "differing-scores"])
+def test_objective_exits_1_on_differing_scores(change_digest, code, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    steps = []
+
+    def stub(tree, step, data):
+        steps.append((tree.name, step))
+        return stub_replay(change_digest if tree == change else "a") if step == "replay" else None
+
+    monkeypatch.setattr(bench_pairs, "run_objective", stub)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "objective", "--pairs", "2", "--out", str(out)]) == code
+    # Recorded once, on the parent; then replayed with the first side alternating.
+    assert steps == [("parent", "record"), ("parent", "replay"), ("change", "replay"),
+                     ("change", "replay"), ("parent", "replay")]
+    record = json.loads(out.read_text())
+    summary = record["summary"]["objective"]
+    assert summary["scores_identical"] is (code == 0)
+    assert summary["scores_sha256"] == {"parent": ["a"], "change": [change_digest]}
+    groups = summary["workloads"]["pipeline-groups"]
+    assert groups["calls"] == 2
+    assert groups["scores_sha256"] == {"parent": ["a"], "change": [change_digest]}
+    assert groups["us_per_call"]["parent"]["median"] == 1.0
+    assert [pair["first"] for pair in record["pairs"]["objective"]] == ["parent", "change"]
 
 
 def test_seconds_required_only_for_perfbench_workloads(tmp_path):

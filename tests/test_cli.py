@@ -66,6 +66,16 @@ class TestWeightsCommand:
         assert cli_main(["weights", "--matrices", str(path)]) == 2
         assert "data error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [{}, [], {"criteria": ["a"]}],
+                             ids=["empty-object", "list", "criteria-only"])
+    @pytest.mark.parametrize("command", ["weights", "pipeline"])
+    def test_matrices_without_respondents_are_data_errors(self, command, payload, capsys,
+                                                          tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main([command, "--matrices", str(path)]) == 2
+        assert "expected a JSON object with a 'respondents' list" in capsys.readouterr().err
+
     def test_negative_cell_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "negative.json"
         path.write_text(json.dumps({"respondents": [[[0, -1], [1, 0]]]}))
@@ -73,13 +83,26 @@ class TestWeightsCommand:
         assert "nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "criteria", [5, ["a", "b", "c"], [1, 2]], ids=["number", "three-names", "non-string"]
+        "command, criteria, message",
+        [*((command, criteria, f"criteria must be a list of {n} strings")
+           for command, n in (("weights", 2), ("pipeline", 6))
+           for criteria in (5, ["a", "b", "c"], [1, 2])),
+         # Names of the catalog's groups, but not in its order.
+         ("pipeline", ["Q", "P", "R", "S", "T", "U"],
+          "criteria ['Q', 'P', 'R', 'S', 'T', 'U'] are not the catalog's groups "
+          "['P', 'Q', 'R', 'S', 'T', 'U'] in order")],
+        ids=["number", "three-names", "non-string", "pipeline-number", "pipeline-three-names",
+             "pipeline-non-string", "pipeline-swapped"],
     )
-    def test_malformed_criteria_are_data_errors(self, criteria, capsys, tmp_path):
+    def test_malformed_criteria_are_data_errors(self, command, criteria, message, capsys,
+                                                tmp_path):
+        # The pipeline's judgments are the bundled ones: only the names are wrong.
+        respondents = (json.loads(bundled_path("respondents.json").read_text())["respondents"]
+                       if command == "pipeline" else [[[0, 2], [1, 0]]])
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"respondents": [[[0, 2], [1, 0]]], "criteria": criteria}))
-        assert cli_main(["weights", "--matrices", str(path)]) == 2
-        assert "criteria must be a list of 2 strings" in capsys.readouterr().err
+        path.write_text(json.dumps({"respondents": respondents, "criteria": criteria}))
+        assert cli_main([command, "--matrices", str(path)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_judgments_are_data_error(self, capsys, tmp_path):
@@ -586,7 +609,12 @@ class TestBenchCommand:
         assert cli_main([*flag, "bench-ecsa", "--runs", "1", "--iterations", "1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_non_integer_env_seed_is_data_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("RISKFUSE_SEED", "abc")
+        assert cli_main(["bench-ecsa", "--runs", "1", "--iterations", "1"]) == 2
+        assert capsys.readouterr().err == "data error: RISKFUSE_SEED='abc' is not an integer\n"
+
+    @pytest.mark.parametrize("runs", ["0", "-1", "abc"])
     def test_nonpositive_runs_is_usage_error(self, runs, capsys):
         assert cli_main(["bench-ecsa", "--runs", runs]) == 1
         assert "--runs: expected a positive integer" in capsys.readouterr().err

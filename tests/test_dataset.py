@@ -54,7 +54,7 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "abc"])
     def test_non_finite_number_rejected(self, tmp_path, token):
         path = tmp_path / "inf.csv"
         path.write_text(f"rely,kloc,effort\nn,{token},100\n")
@@ -120,6 +120,18 @@ class TestLoadDataset:
         assert (first.identifier, first.extras) == ("7", {"projectname": "alpha"})
         # An empty ID token falls back to the row number.
         assert (second.identifier, second.extras) == ("2", {"projectname": "beta"})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("@attribute\n@data\n", "line 1: malformed @attribute declaration"),
+         ("@relation x\n@data\nh\n", "@data before any @attribute")],
+        ids=["nameless-attribute", "data-first"],
+    )
+    def test_malformed_arff_header_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.arff"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
 
     def test_attribute_after_data_rejected(self, tmp_path):
         path = tmp_path / "late.arff"
@@ -293,6 +305,11 @@ class TestFeatureMapping:
         with pytest.raises(DataError, match="size"):
             prepare_samples(nasa_records, catalog, FeatureMapping.fit([]), "codes")
 
+    @pytest.mark.parametrize("max_effort", [None, 0.0])
+    def test_effort_range_must_be_positive(self, nasa_records, catalog, mapping, max_effort):
+        with pytest.raises(DataError, match="no positive effort range"):
+            feature_table(nasa_records, catalog, replace(mapping, max_effort=max_effort))
+
     def test_normalized_effort_positive(self, nasa_records, catalog, mapping):
         _, targets = feature_table(nasa_records, catalog, mapping)
         assert np.all((targets > 0.0) & (targets <= 1.0))
@@ -370,6 +387,10 @@ class TestConfig:
             PipelineConfig(cv_folds=1)
         with pytest.raises(DataError):
             PipelineConfig(coefficient_mode="other")
+        with pytest.raises(DataError, match="cluster_radius must be positive"):
+            PipelineConfig(cluster_radius=0)
+        with pytest.raises(DataError, match="anfis_inputs must be 'groups' or 'codes'"):
+            PipelineConfig(anfis_inputs="x")
 
     @pytest.mark.parametrize(
         "payload",

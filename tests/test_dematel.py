@@ -187,6 +187,11 @@ class TestProminenceAndWeights:
         assert r == pytest.approx(np.zeros(3))
         assert c == pytest.approx(np.zeros(3))
 
+    @pytest.mark.parametrize("t", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "vector"])
+    def test_non_square_rejected(self, t):
+        with pytest.raises(DataError, match="must be square"):
+            prominence_relation(t)
+
     def test_totals_agree(self, rng):
         t = rng.random((6, 6))
         r, c = prominence_relation(t)

@@ -70,6 +70,16 @@ class TestConfig:
         with pytest.raises(DataError, match="finite"):
             unit_config(bounds=((0.0, 1.0), bound))
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [((("a", "b"),), "must be numeric"), ([[0.0, 1.0, 2.0]], r"one \(lower, upper\) pair"),
+         ([0.0, 1.0], r"one \(lower, upper\) pair"), ([], r"one \(lower, upper\) pair")],
+        ids=["text", "triple", "flat", "empty"],
+    )
+    def test_malformed_bounds(self, bounds, message):
+        with pytest.raises(DataError, match=message):
+            unit_config(bounds=bounds)
+
     @pytest.mark.parametrize("flight_length", [math.nan, math.inf, -0.5])
     def test_bad_flight_length(self, flight_length):
         with pytest.raises(DataError, match="flight_length"):
@@ -114,8 +124,8 @@ class TestInitPopulation:
         for seed in (0, 1, 99):
             config = unit_config(seed=seed, bounds=((-3.0, 2.0), (0.0, 0.5)))
             positions = start_positions(config)
-            assert np.all(positions >= config.lower)
-            assert np.all(positions <= config.upper)
+            assert np.all(positions >= config.bounds[:, 0])
+            assert np.all(positions <= config.bounds[:, 1])
 
     def test_degenerate_interval(self):
         config = unit_config(bounds=((0.7, 0.7 + 1e-12),))
@@ -287,6 +297,11 @@ class TestOptimize:
         result = optimize(lambda x: sphere(x - target), config, initial_guesses=[target])
         assert result.metadata["best_objective"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_more_guesses_than_crows(self):
+        config = unit_config(dim=2, population_size=3)
+        with pytest.raises(DataError, match="4 initial guesses exceed the population size 3"):
+            optimize(sphere, config, initial_guesses=[np.zeros(2)] * 4)
+
     def test_initial_guess_of_wrong_length(self):
         config = unit_config(dim=3)
         with pytest.raises(DataError, match=r"guess 0 has shape \(4,\), expected \(3,\)"):
@@ -452,7 +467,7 @@ class TestEcsaMoveDraws:
         config = unit_config(dim=dim, population_size=n, ap_min=ap_min, ap_max=ap_max)
         rng = _RecordingRng(5)
         self._move(config, rng, dim)
-        relocated = int((rng.calls[1][3] < config.awareness_by_rank).sum())
+        relocated = int((rng.calls[1][3] < _flight(config, None).awareness_by_rank).sum())
         if expected_relocated is not None:
             assert relocated == expected_relocated
         local = n - relocated
@@ -479,7 +494,8 @@ class TestEcsaMoveDraws:
             # the best memory at 1, since C1 = 2 exp(-16) at the last
             # iteration.
             relocated += self._move(config, rng, dim=2)[:, 0] > 0.5
-        assert relocated / moves == pytest.approx(config.awareness_by_rank, abs=tolerance)
+        awareness = _flight(config, rng).awareness_by_rank
+        assert relocated / moves == pytest.approx(awareness, abs=tolerance)
 
 
 class TestCsaMoveDraws:

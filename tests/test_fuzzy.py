@@ -86,6 +86,10 @@ class TestLinguisticScale:
                 tfns=((0, 0.5, 1), (0, 0.5, 1)),
             )
 
+    def test_one_level_rejected(self):
+        with pytest.raises(DataError, match="needs at least 2 levels"):
+            LinguisticScale(name="flat", labels=("a",), tfns=((0, 0, 1),))
+
     def test_label_tfn_length_mismatch(self):
         with pytest.raises(DataError):
             LinguisticScale(name="bad", labels=("a",), tfns=((0, 0, 1), (0, 1, 1)))
@@ -112,6 +116,10 @@ class TestCfcsDefuzzify:
     def test_empty_list_rejected(self):
         with pytest.raises(DataError):
             cfcs_defuzzify([])
+
+    def test_lone_triple_is_not_a_judgment_list(self):
+        with pytest.raises(DataError, match="at least one judgment per cell"):
+            cfcs_defuzzify((0.0, 0.5, 1.0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -110,6 +110,10 @@ class TestCvFolds:
         with pytest.raises(DataError):
             cv_folds([1, 2], 3, seed=0)
 
+    def test_one_fold_rejected(self):
+        with pytest.raises(DataError, match="fold count must be >= 2, got 1"):
+            cv_folds([1, 2, 3], 1, seed=0)
+
 
 class TestTuning:
     def test_winner_is_a_kept_run_model(self, nasa_records, catalog, quick_config):
@@ -385,6 +389,17 @@ class TestRiskReport:
                 closeness=[0.5, 0.5],
                 ranking=[0, 1],
                 p_out=0.9,
+            )
+
+    def test_weights_and_scores_lengths_must_match(self):
+        with pytest.raises(DataError, match="differ in length"):
+            RiskReport(
+                criteria=["a", "b"],
+                weights=[0.5, 0.5],
+                potential_scores=[0.2],
+                closeness=[0.5, 0.5],
+                ranking=[0, 1],
+                p_out=0.1,
             )
 
     def test_ranking_must_be_permutation(self):

@@ -126,8 +126,10 @@ class TestDecisionMatrix:
 
     @pytest.mark.parametrize(
         "rows",
-        [(), [[]], [[(0.5, 0.5, 0.0)], []], [[(0.5, 0.5)]], [["x", "y", "z"]]],
-        ids=["no-alternatives", "no-criteria", "ragged", "two-components", "non-numeric"],
+        [(), [[]], [[(0.5, 0.5, 0.0)], []], [[(0.5, 0.5)]], [["x", "y", "z"]],
+         np.zeros((0, 1, 3)), np.zeros((1, 0, 3))],
+        ids=["no-alternatives", "no-criteria", "ragged", "two-components", "non-numeric",
+             "empty-alternatives-axis", "empty-criteria-axis"],
     )
     def test_shape_checked(self, rows):
         with pytest.raises(DataError):
